@@ -4,7 +4,8 @@ Subcommands: ``topo enum`` streams topologies, ``graph`` builds a model
 and reports invariants or exports it, ``verify`` runs the claim suites,
 ``search`` scans canonical spaces for a counterexample or witness.
 
-Exit codes: 0 success, 1 a guaranteed-tier claim failed, 2 usage error.
+Exit codes: 0 success, 1 a guaranteed-tier claim failed, 2 usage error,
+3 internal error (a defect of annigraph, reported on one line).
 All outputs are byte-reproducible under fixed flags and seed.
 """
 
@@ -15,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from .idealgraph import build_ag_discrete, build_dg
 from .topo import (
     EnumerationCapExceeded,
     Topology,
+    canonical_form,
     canonical_topologies,
     enumerate_topologies,
 )
@@ -98,21 +101,33 @@ def _cache_dir(cfg: RunConfig) -> Path | None:
     return Path(d) if d else None
 
 
-def _cache_key(model_key: str) -> str:
-    return hashlib.sha256(f"{model_key}|{__version__}".encode()).hexdigest()
+def _cache_key(labeled_key: str) -> str:
+    return hashlib.sha256(f"{labeled_key}|{__version__}".encode()).hexdigest()
 
 
-def _cached_invariants(cfg: RunConfig, model_key: str, graph) -> dict:
+def _cached_invariants(cfg: RunConfig, model_key: str, labeled_key: str, graph) -> dict:
+    """Invariant report of graph.  The cache is keyed by the labeled model,
+    because the report names vertices by their labels; an unreadable entry
+    is recomputed and replaced."""
     cdir = _cache_dir(cfg)
     if cdir is not None:
         cdir.mkdir(parents=True, exist_ok=True)
-        path = cdir / f"{_cache_key(model_key)}.json"
-        if path.exists():
+        path = cdir / f"{_cache_key(labeled_key)}.json"
+        try:
             return json.loads(path.read_text())
+        except (FileNotFoundError, ValueError):
+            pass  # missing or damaged entry: compute and write it below
     report = gc.compute_invariants(graph).to_json_dict()
     report["model"] = model_key
     if cdir is not None:
-        path.write_text(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return report
 
 
@@ -147,7 +162,9 @@ def cmd_topo_enum(cfg: RunConfig, canonical: bool, filter_name: str | None,
     return 0
 
 
-def _build_model(cfg: RunConfig) -> tuple[str, object]:
+def _build_model(cfg: RunConfig) -> tuple[str, str, object]:
+    """(model key, labeled key, graph).  The model key of a dg model names
+    the homeomorphism class; the labeled key names the labeled topology."""
     sel = cfg.model
     if sel.startswith("ag-discrete:"):
         try:
@@ -155,21 +172,19 @@ def _build_model(cfg: RunConfig) -> tuple[str, object]:
         except ValueError as exc:
             raise _UsageError(f"bad model selector {sel!r}") from exc
         try:
-            return f"ag-discrete:{n}", build_ag_discrete(n)
+            return f"ag-discrete:{n}", f"ag-discrete:{n}", build_ag_discrete(n)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
     if sel.startswith("dg:"):
         t = _load_topology(sel.split(":", 1)[1])
-        from .topo import canonical_form
-
-        return f"dg:{canonical_form(t)}", build_dg(t)
+        return f"dg:{canonical_form(t)}", f"dg:{t.to_text()}", build_dg(t)
     raise _UsageError(
         f"bad model selector {sel!r}; expected ag-discrete:<n> or dg:<topology-file>"
     )
 
 
 def cmd_graph(cfg: RunConfig, want_invariants: bool) -> int:
-    model_key, graph = _build_model(cfg)
+    model_key, labeled_key, graph = _build_model(cfg)
     artifacts = {
         "dot": lambda: gc.to_dot(graph, render_label=str),
         "dimacs": lambda: gc.to_dimacs(graph, comment=model_key),
@@ -192,7 +207,7 @@ def cmd_graph(cfg: RunConfig, want_invariants: bool) -> int:
             if close:
                 out.close()
     if want_invariants or cfg.export is None:
-        report = _cached_invariants(cfg, model_key, graph)
+        report = _cached_invariants(cfg, model_key, labeled_key, graph)
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -326,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def main_entry() -> None:

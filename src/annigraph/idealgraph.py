@@ -33,9 +33,7 @@ from .graphcore import INF, Distance, UGraph
 from .topo import (
     PointSet,
     Topology,
-    closure,
     closure_mask,
-    interior,
     interior_mask,
     isolated_points,
 )
@@ -173,17 +171,21 @@ def leaf_classifier(t: Topology, g: PointSet) -> bool:
     return (t._full & ~closure_mask(t, g.mask)).bit_count() == 1
 
 
-def gi_classifier(t: Topology, g: PointSet, h: PointSet) -> int:
-    """Predicted length of the shortest cycle through two non-leaf
-    vertices; the hypothesis excludes leaves, which are rejected.
+# Parts of the shortest-common-cycle lemma (named as in the claim ids
+# ``lem.gi.<part>``) and the cycle length each one predicts.
+GI_CASES = {"a": 3, "b": 4, "c": 4, "d": 4, "e": 5, "dense_overlap": 6}
 
-    Case split on the two open sets: disjoint pairs give 3 (union not
-    dense) or 4 (union dense); overlapping pairs with equal closures give
-    4; overlapping pairs with distinct closures are governed by how many
-    points lie outside the closure of the union: two or more give 4,
-    exactly one gives 5, and none leaves the pair at distance 3 with no
-    common neighbor, so the shortest common cycle is two length-3 paths,
-    length 6.
+
+def gi_case(t: Topology, g: PointSet, h: PointSet) -> str:
+    """The part of the shortest-common-cycle lemma that covers two
+    non-leaf vertices; the hypothesis excludes leaves, which are rejected.
+
+    Case split on the two open sets: disjoint pairs fall in part a (union
+    not dense) or b (union dense); overlapping pairs with equal closures
+    in part c; overlapping pairs with distinct closures are governed by
+    how many points lie outside the closure of the union: two or more give
+    part d, exactly one part e, and none leaves the pair at distance 3
+    with no common neighbor (part dense_overlap).
     """
     _require_vertex(t, g)
     _require_vertex(t, h)
@@ -191,16 +193,24 @@ def gi_classifier(t: Topology, g: PointSet, h: PointSet) -> int:
         raise ValueError("gi classifier needs two distinct vertices")
     if leaf_classifier(t, g) or leaf_classifier(t, h):
         raise ValueError("gi classifier is undefined on leaf vertices")
-    disjoint = g.mask & h.mask == 0
     union_cl = closure_mask(t, g.mask | h.mask)
-    if disjoint:
-        return 3 if union_cl != t._full else 4
+    if g.mask & h.mask == 0:
+        return "a" if union_cl != t._full else "b"
     if closure_mask(t, g.mask) == closure_mask(t, h.mask):
-        return 4
+        return "c"
     outside = (t._full & ~union_cl).bit_count()
     if outside >= 2:
-        return 4
-    return 5 if outside == 1 else 6
+        return "d"
+    return "e" if outside == 1 else "dense_overlap"
+
+
+def gi_classifier(t: Topology, g: PointSet, h: PointSet) -> int:
+    """Predicted length of the shortest cycle through two non-leaf
+    vertices: 3 or 4 for disjoint opens, 4 for overlapping opens with
+    equal closures or at least two points outside the closure of the
+    union, 5 for exactly one such point, and 6 for none, where the
+    shortest common cycle is two length-3 paths (see ``gi_case``)."""
+    return GI_CASES[gi_case(t, g, h)]
 
 
 def radius_predictor(m: int, has_isolated: bool) -> int:

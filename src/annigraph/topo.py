@@ -421,14 +421,6 @@ def canonical_form(t: Topology, cap: int = DEFAULT_ENUM_CAP) -> str:
     return Topology(t.n, _canonical_opens(t.n, t.opens), validate=False).to_text()
 
 
-def canonical_topology(t: Topology, cap: int = DEFAULT_ENUM_CAP) -> Topology:
-    if t.n > cap:
-        raise EnumerationCapExceeded(
-            f"canonical form requires n <= {cap} (got {t.n}); raise the cap explicitly"
-        )
-    return Topology(t.n, _canonical_opens(t.n, t.opens), validate=False)
-
-
 def enumerate_topologies(
     n: int,
     space_filter: Callable[[SpaceClass], bool] | None = None,

@@ -26,11 +26,14 @@ from typing import Callable, Iterable, Sequence
 from . import graphcore as gc
 from .graphcore import DEGENERATE, INF, UGraph
 from .idealgraph import (
+    GI_CASES,
     HomWitness,
     build_ag_discrete,
     build_dg,
     distance_classifier,
     ecc_classifier,
+    gi_case,
+    gi_classifier,
     girth_predictor,
     is_vertex,
     leaf_classifier,
@@ -110,30 +113,42 @@ class TheoremReport:
     mode: str  # "assert" | "explore"
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "mode": self.mode,
-            "claim": self.claim,
-            "space": self.space,
-            "verdict": self.verdict,
-            "expected": self.expected,
-            "computed": self.computed,
-            "witness": self.witness,
-        }
+        return {"schema": SCHEMA, **self.__dict__}
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
+    @classmethod
+    def of(cls, claim: str, space: str, res: ClaimResult, mode: str) -> "TheoremReport":
+        return cls(
+            claim=claim,
+            space=space,
+            verdict=res.verdict,
+            expected=_jsonable(res.expected),
+            computed=_jsonable(res.computed),
+            witness=_jsonable(res.witness) if res.witness is not None else None,
+            mode=mode,
+        )
+
 
 class Workspace:
-    """Shared memo for the model graphs and their invariant tables."""
+    """Shared memo for the spaces' classes and keys, the model graphs and
+    their invariant tables."""
 
     def __init__(self):
+        self._space: dict[Topology, tuple[SpaceClass, str]] = {}
         self._ag: dict[int, UGraph] = {}
         self._ag_inv: dict[int, gc.InvariantReport] = {}
         self._ag_gi: dict[int, dict] = {}
         self._dg: dict[Topology, UGraph] = {}
         self._dg_inv: dict[Topology, gc.InvariantReport] = {}
+
+    def space(self, t: Topology) -> tuple[SpaceClass, str]:
+        """Class and canonical key of t.  The enumeration cap does not
+        apply: the caller already holds the space."""
+        if t not in self._space:
+            self._space[t] = (classify(t), canonical_form(t, cap=t.n))
+        return self._space[t]
 
     def ag(self, m: int) -> UGraph:
         if m not in self._ag:
@@ -181,12 +196,6 @@ def _applies_multipoint(t: Topology, cls: SpaceClass) -> bool:
     return t.n >= 2
 
 
-def _iff(lhs: bool, rhs: bool, witness: dict | None = None) -> ClaimResult:
-    if lhs == rhs:
-        return ClaimResult(PASS, expected=lhs, computed=rhs)
-    return ClaimResult(FAIL, expected=lhs, computed=rhs, witness=witness or {})
-
-
 def _eq(expected, computed, witness: dict | None = None) -> ClaimResult:
     if expected == computed:
         return ClaimResult(PASS, expected=expected, computed=computed)
@@ -212,15 +221,10 @@ def _component_masks(t: Topology) -> list[int]:
 
 
 def _component_unions(t: Topology) -> list[int]:
+    """Every union of weak components, indexed by the bit mask that selects
+    the components; distinct masks give distinct unions."""
     comps = _component_masks(t)
-    out = set()
-    for bits in range(1 << len(comps)):
-        m = 0
-        for i in range(len(comps)):
-            if bits >> i & 1:
-                m |= comps[i]
-        out.add(m)
-    return sorted(out)
+    return [sum(c for i, c in enumerate(comps) if s >> i & 1) for s in range(1 << len(comps))]
 
 
 # --------------------------------------------------------------------------
@@ -237,11 +241,8 @@ def _c_lem_order(ws, t, cls):
     full = t._full
     for u in _subsets(t):
         iu = _i_mask(t, u)
-        if (iu == 0) != (closure_mask(t, u) == full):
-            return ClaimResult(FAIL, witness={"topology": t.to_text(), "u": f"{u:#x}"})
-        if (iu == full) != (u == 0):
-            return ClaimResult(FAIL, witness={"topology": t.to_text(), "u": f"{u:#x}"})
-        if iu != _i_mask(t, closure_mask(t, u)):
+        if ((iu == 0) != (closure_mask(t, u) == full) or (iu == full) != (u == 0)
+                or iu != _i_mask(t, closure_mask(t, u))):
             return ClaimResult(FAIL, witness={"topology": t.to_text(), "u": f"{u:#x}"})
         for v in _subsets(t):
             if u & ~v == 0 and _i_mask(t, v) & ~iu:
@@ -268,30 +269,20 @@ def _c_prop_generated(ws, t, cls):
 
 
 def _c_prop_cap_cup(ws, t, cls):
-    comps = _component_masks(t)
-    m = len(comps)
     for u in _subsets(t):
         iu = _i_mask(t, u)
         for v in _subsets(t):
             iv = _i_mask(t, v)
-            if _i_mask(t, u | v) != iu & iv:
-                return ClaimResult(
-                    FAIL, witness={"topology": t.to_text(), "u": f"{u:#x}", "v": f"{v:#x}"}
-                )
-            if (iu | iv) & ~_i_mask(t, u & v):
+            if _i_mask(t, u | v) != iu & iv or (iu | iv) & ~_i_mask(t, u & v):
                 return ClaimResult(
                     FAIL, witness={"topology": t.to_text(), "u": f"{u:#x}", "v": f"{v:#x}"}
                 )
     # support model: sums map to unions, pairwise intersections to
     # intersections, on the component lattice
-    for s in range(1 << m):
-        for r in range(1 << m):
-            qs = sum(comps[i] for i in range(m) if s >> i & 1)
-            qr = sum(comps[i] for i in range(m) if r >> i & 1)
-            qsum = sum(comps[i] for i in range(m) if (s | r) >> i & 1)
-            qcap = sum(comps[i] for i in range(m) if (s & r) >> i & 1)
-            if qsum != qs | qr or qcap != qs & qr:
-                return ClaimResult(FAIL, witness={"topology": t.to_text()})
+    q = _component_unions(t)
+    for s, r in itertools.product(range(len(q)), repeat=2):
+        if q[s | r] != q[s] | q[r] or q[s & r] != q[s] & q[r]:
+            return ClaimResult(FAIL, witness={"topology": t.to_text()})
     return ClaimResult(PASS, computed={"subset_pairs_checked": (1 << t.n) ** 2})
 
 
@@ -301,42 +292,23 @@ def _c_strict_cup(ws, t, cls):
             lhs = _i_mask(t, u & v)
             rhs = _i_mask(t, u) | _i_mask(t, v)
             if rhs & ~lhs == 0 and lhs != rhs:
-                return ClaimResult(
-                    PASS,
-                    expected="strict inclusion",
-                    computed={
-                        "i_of_intersection": PointSet(t.n, lhs),
-                        "union_of_i": PointSet(t.n, rhs),
-                    },
-                    witness={
-                        "topology": t.to_text(),
-                        "u": PointSet(t.n, u),
-                        "v": PointSet(t.n, v),
-                        "i_of_intersection": PointSet(t.n, lhs),
-                        "union_of_i": PointSet(t.n, rhs),
-                    },
-                )
+                sides = {"i_of_intersection": PointSet(t.n, lhs), "union_of_i": PointSet(t.n, rhs)}
+                return ClaimResult(PASS, "strict inclusion", sides, {
+                    "topology": t.to_text(), "u": PointSet(t.n, u), "v": PointSet(t.n, v), **sides,
+                })
     return ClaimResult(NA, computed="no strict pair on this space")
 
 
 def _c_strict_cap(ws, t, cls):
-    cozeros = [m for m in _component_unions(t) if m]
+    cozeros = sorted(m for m in _component_unions(t) if m)
     for a, b in itertools.combinations(cozeros, 2):
         if a & b:
-            return ClaimResult(
-                PASS,
-                expected="strict inclusion",
-                computed={"cozero_union_of_intersection": PointSet(t.n, 0),
-                          "intersection_of_cozero_unions": PointSet(t.n, a & b)},
-                witness={
-                    "topology": t.to_text(),
-                    "cozero_u": PointSet(t.n, a),
-                    "cozero_v": PointSet(t.n, b),
-                    "cozero_union_of_intersection": PointSet(t.n, 0),
-                    "intersection_of_cozero_unions": PointSet(t.n, a & b),
-                    "ideal_level_strict": False,
-                },
-            )
+            sides = {"cozero_union_of_intersection": PointSet(t.n, 0),
+                     "intersection_of_cozero_unions": PointSet(t.n, a & b)}
+            return ClaimResult(PASS, "strict inclusion", sides, {
+                "topology": t.to_text(), "cozero_u": PointSet(t.n, a),
+                "cozero_v": PointSet(t.n, b), **sides, "ideal_level_strict": False,
+            })
     return ClaimResult(NA, computed="no overlapping distinct cozero sets")
 
 
@@ -381,14 +353,10 @@ def _c_thm_ij_zero(ws, t, cls):
                 )
     # support model: products of support ideals vanish iff supports are
     # disjoint iff the attached open sets are disjoint
-    comps = _component_masks(t)
-    m = len(comps)
-    for s in range(1 << m):
-        qs = sum(comps[i] for i in range(m) if s >> i & 1)
-        for r in range(1 << m):
-            qr = sum(comps[i] for i in range(m) if r >> i & 1)
-            if (s & r == 0) != (qs & qr == 0):
-                return ClaimResult(FAIL, witness={"topology": t.to_text()})
+    q = _component_unions(t)
+    for s, r in itertools.product(range(len(q)), repeat=2):
+        if (s & r == 0) != (q[s] & q[r] == 0):
+            return ClaimResult(FAIL, witness={"topology": t.to_text()})
     return ClaimResult(PASS, computed={"open_pairs_checked": len(opens) ** 2})
 
 
@@ -486,402 +454,189 @@ def _c_cor_orthogonal(ws, t, cls):
     return ClaimResult(PASS, computed={"pairs_checked": g.vertex_count * (g.vertex_count - 1) // 2})
 
 
+def _c_model_reflection(ws, t, cls):
+    m = cls.component_count
+    return _eq(1 << m, clopen_count(t), {"topology": t.to_text(), "components": m})
+
+
 # --------------------------------------------------------------------------
-# Ring-model checkers over the annihilating-ideal graph.  These apply to
-# discrete spaces, where the ring of functions sees every point.
+# Graph claims.  A row names its graph and a shape; the generic checker
+# guards the graph once and hands the shape the graph and its invariants.
+# "ag" is the annihilating-ideal graph of the ring model, which applies to
+# discrete spaces, where the ring of functions sees every point; "dg" is
+# the disjoint-open-set graph, intrinsic to any finite topology.
 # --------------------------------------------------------------------------
 
-
-def _ag_guard(ws, t):
-    if t.n < 2:
-        return None
-    return ws.ag_inv(t.n)
-
-
-def _c_prop_size2_diam(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    return _iff(t.n == 2, inv.diameter == 1, {"topology": t.to_text(), "diameter": _jsonable(inv.diameter)})
+_EMPTY = {
+    "ag": "no vertices on a one-point space",
+    "dg": "empty graph: no qualifying open sets",
+}
 
 
-def _c_prop_size2_clique(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    return _iff(t.n == 2, inv.clique_number == 2, {"topology": t.to_text(), "clique": inv.clique_number})
+def _model(ws, t, graph):
+    """The claim's graph and its invariants, or None when it has no vertices."""
+    if graph == "ag":
+        return (ws.ag(t.n), ws.ag_inv(t.n)) if t.n >= 2 else None
+    inv = ws.dg_inv(t)
+    return (ws.dg(t), inv) if inv.vertex_count else None
 
 
-def _c_prop_size2_bipartite(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    two_part = inv.is_bipartite and inv.vertex_count >= 2
-    return _iff(t.n == 2, two_part, {"topology": t.to_text(), "bipartite": inv.is_bipartite})
+def _on_graph(graph, shape, outside=None):
+    """Checker for a graph claim.  ``outside(ws, t)`` returns a note for
+    spaces the statement excludes (recorded as not applicable), else None;
+    ``shape(ws, t, cls, g, inv)`` judges the claim on a nonempty graph."""
+
+    def check(ws, t, cls):
+        if outside is not None:
+            note = outside(ws, t)
+            if note is not None:
+                return ClaimResult(NA, computed=note)
+        model = _model(ws, t, graph)
+        if model is None:
+            return ClaimResult(DEGEN, computed=_EMPTY[graph])
+        return shape(ws, t, cls, *model)
+
+    return check
 
 
-def _c_prop_size2_complete_bipartite(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    return _iff(t.n == 2, inv.is_complete_bipartite, {"topology": t.to_text()})
+def _same(predicate):
+    """Shape: ``predicate(t, cls, inv)`` returns (expected, computed), which
+    must be equal."""
+
+    def shape(ws, t, cls, g, inv):
+        expected, computed = predicate(t, cls, inv)
+        if expected == computed:
+            return ClaimResult(PASS, expected=expected, computed=computed)
+        return ClaimResult(FAIL, expected, computed, _graph_witness(t, g))
+
+    return shape
 
 
-def _c_prop_diam3(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    return _iff(t.n >= 3, inv.diameter == 3, {"topology": t.to_text(), "diameter": _jsonable(inv.diameter)})
+def _holds(relation: str, predicate):
+    """Shape: ``predicate(t, cls, inv)`` returns (ok, computed values); a
+    failure records the relation as what was expected."""
+
+    def shape(ws, t, cls, g, inv):
+        ok, computed = predicate(t, cls, inv)
+        if ok:
+            return ClaimResult(PASS, computed=computed)
+        return ClaimResult(FAIL, relation, computed, _graph_witness(t, g))
+
+    return shape
 
 
-def _c_prop_chi_clique(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    return _eq(inv.clique_number, inv.chromatic_number, {"topology": t.to_text()})
+def _per_vertex(classifier, measure):
+    """Shape: a closed-form vertex classifier against ``measure(inv, v)``."""
+
+    def shape(ws, t, cls, g, inv):
+        for v in g.labels:
+            predicted, actual = classifier(t, v), measure(inv, v)
+            if predicted != actual:
+                return ClaimResult(FAIL, predicted, actual, _graph_witness(t, g, vertex=v))
+        return ClaimResult(PASS, computed={"vertices_checked": g.vertex_count})
+
+    return shape
 
 
-def _c_prop_finite(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    expected = (1 << t.n) - 2
-    ok = (
-        inv.vertex_count == expected
-        and isinstance(inv.clique_number, int)
-        and isinstance(inv.chromatic_number, int)
-        and isinstance(inv.dominating_number, int)
-    )
-    return _eq(
-        {"vertex_count": expected, "all_finite": True},
-        {"vertex_count": inv.vertex_count, "all_finite": ok},
-        {"topology": t.to_text()},
-    )
-
-
-def _c_lem_distance(ws, t, cls):
-    if t.n < 2:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    g = ws.ag(t.n)
+def _distance(ws, t, cls, g, inv):
     dmat = gc.distance_matrix(g)
     for i, a in enumerate(g.labels):
         for j in range(i + 1, g.vertex_count):
             b = g.labels[j]
             predicted = distance_classifier(t, a, b)
-            actual = dmat[i][j]
-            if predicted != actual:
-                return ClaimResult(
-                    FAIL, expected=predicted, computed=actual,
-                    witness=_graph_witness(t, g, a=a, b=b),
-                )
+            if predicted != dmat[i][j]:
+                return ClaimResult(FAIL, predicted, dmat[i][j], _graph_witness(t, g, a=a, b=b))
     return ClaimResult(PASS, computed={"pairs_checked": g.vertex_count * (g.vertex_count - 1) // 2})
 
 
-def _c_prop_ecc(ws, t, cls):
-    if t.n < 2:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    g = ws.ag(t.n)
-    inv = ws.ag_inv(t.n)
-    for v in g.labels:
-        predicted = ecc_classifier(t, v)
-        actual = inv.eccentricity[v]
-        if predicted != actual:
-            return ClaimResult(
-                FAIL, expected=predicted, computed=_jsonable(actual),
-                witness=_graph_witness(t, g, vertex=v),
-            )
-    return ClaimResult(PASS, computed={"vertices_checked": g.vertex_count})
+def _gi_part(case: str):
+    """Shape: one part of the shortest-common-cycle lemma over the measured
+    non-leaf pairs.  ``gi_case`` decides membership and ``gi_classifier``
+    the predicted length; a length no other part predicts must not occur
+    outside the part."""
+    value = GI_CASES[case]
+    exclusive = list(GI_CASES.values()).count(value) == 1
+
+    def shape(ws, t, cls, g, inv):
+        checked = 0
+        for (a, b), measured in ws.ag_gi(t.n).items():
+            if gi_case(t, a, b) == case:
+                checked += 1
+                predicted = gi_classifier(t, a, b)
+                if measured != predicted:
+                    return ClaimResult(FAIL, predicted, measured, _graph_witness(t, g, a=a, b=b))
+            elif exclusive and measured == value:
+                return ClaimResult(FAIL, f"gi={value} only inside the case", measured,
+                                   _graph_witness(t, g, a=a, b=b))
+        if checked == 0:
+            return ClaimResult(NA, computed="no non-leaf pair matches the case")
+        return ClaimResult(PASS, computed={"pairs_in_case": checked})
+
+    return shape
 
 
-def _c_cor_star(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    return _iff(t.n == 2, inv.is_star, {"topology": t.to_text()})
+def _dg_is_ag(ws, t, cls, g, inv):
+    dg = ws.dg(t)
+    if dg.labels == g.labels and set(dg.edges()) == set(g.edges()):
+        return ClaimResult(PASS, expected=True, computed=True)
+    return ClaimResult(FAIL, True, False, _graph_witness(
+        t, dg, ag_edges=[[a.render(), b.render()] for a, b in g.edges()]))
 
 
-def _c_thm_radius(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    predicted = radius_predictor(t.n, cls.has_isolated_point)
-    return _eq(predicted, _jsonable(inv.radius), {"topology": t.to_text()})
+def _finite(t, cls, inv):
+    expected = (1 << t.n) - 2
+    ok = inv.vertex_count == expected and all(
+        isinstance(x, int)
+        for x in (inv.clique_number, inv.chromatic_number, inv.dominating_number))
+    return ({"vertex_count": expected, "all_finite": True},
+            {"vertex_count": inv.vertex_count, "all_finite": ok})
 
 
-def _c_prop_leaf(ws, t, cls):
-    if t.n < 2:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    g = ws.ag(t.n)
-    for v in g.labels:
-        predicted = leaf_classifier(t, v)
-        actual = gc.degree(g, v) == 1
-        if predicted != actual:
-            return ClaimResult(
-                FAIL, expected=predicted, computed=actual,
-                witness=_graph_witness(t, g, vertex=v),
-            )
-    return ClaimResult(PASS, computed={"vertices_checked": g.vertex_count})
+def _triangulated(t, cls, inv):
+    computed = {
+        "has_isolated_point": cls.has_isolated_point,
+        "has_leaf": any(inv.is_leaf.values()),
+        "is_triangulated": inv.is_triangulated,
+    }
+    ok = (cls.has_isolated_point == computed["has_leaf"] == (not inv.is_triangulated)
+          and triangulated_predictor(t) == inv.is_triangulated)
+    return ok, computed
 
 
-def _gi_cases(ws, t):
-    """Classified non-leaf vertex pairs with their measured gi values."""
-    g = ws.ag(t.n)
-    table = ws.ag_gi(t.n)
-    full = t._full
-    rows = []
-    for (a, b), measured in table.items():
-        disjoint = a.mask & b.mask == 0
-        union_cl = closure_mask(t, a.mask | b.mask)
-        eq_cl = closure_mask(t, a.mask) == closure_mask(t, b.mask)
-        outside = (full & ~union_cl).bit_count()
-        rows.append((a, b, disjoint, union_cl == full, eq_cl, outside, measured))
-    return rows
+def _dt_bounds(t, cls, inv):
+    c, dt, w = cellularity(t), inv.dominating_number, weight(t)
+    return c <= dt <= w, {"cellularity": c, "dominating_number": dt, "weight": w}
 
 
-def _gi_part_check(ws, t, selector, expected_value, iff_direction):
-    if t.n < 2:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    rows = _gi_cases(ws, t)
-    checked = 0
-    for a, b, disjoint, dense, eq_cl, outside, measured in rows:
-        in_case = selector(disjoint, dense, eq_cl, outside)
-        if in_case:
-            checked += 1
-            if measured != expected_value:
-                return ClaimResult(
-                    FAIL, expected=expected_value, computed=_jsonable(measured),
-                    witness=_graph_witness(t, ws.ag(t.n), a=a, b=b),
-                )
-        elif iff_direction and measured == expected_value:
-            return ClaimResult(
-                FAIL,
-                expected=f"gi={expected_value} only inside the case",
-                computed=_jsonable(measured),
-                witness=_graph_witness(t, ws.ag(t.n), a=a, b=b),
-            )
-    if checked == 0:
-        return ClaimResult(NA, computed="no non-leaf pair matches the case")
-    return ClaimResult(PASS, computed={"pairs_in_case": checked})
+def _chi_clique_cellularity(t, cls, inv):
+    c = cellularity(t)
+    computed = {"chromatic": inv.chromatic_number, "clique": inv.clique_number, "cellularity": c}
+    return inv.chromatic_number == inv.clique_number == c, computed
 
 
-def _c_lem_gi_a(ws, t, cls):
-    return _gi_part_check(ws, t, lambda dj, dn, eq, out: dj and not dn, 3, True)
-
-
-def _c_lem_gi_b(ws, t, cls):
-    return _gi_part_check(ws, t, lambda dj, dn, eq, out: dj and dn, 4, False)
-
-
-def _c_lem_gi_c(ws, t, cls):
-    return _gi_part_check(ws, t, lambda dj, dn, eq, out: not dj and eq, 4, False)
-
-
-def _c_lem_gi_d(ws, t, cls):
-    return _gi_part_check(ws, t, lambda dj, dn, eq, out: not dj and not eq and out >= 2, 4, False)
-
-
-def _c_lem_gi_e(ws, t, cls):
-    return _gi_part_check(ws, t, lambda dj, dn, eq, out: not dj and not eq and out == 1, 5, True)
-
-
-def _c_lem_gi_dense_overlap(ws, t, cls):
-    return _gi_part_check(ws, t, lambda dj, dn, eq, out: not dj and not eq and out == 0, 6, True)
-
-
-def _c_thm_girth(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    return _eq(_jsonable(girth_predictor(t.n)), _jsonable(inv.girth), {"topology": t.to_text()})
-
-
-def _c_thm_triangulated(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    g = ws.ag(t.n)
-    isolated = cls.has_isolated_point
-    leaf_exists = any(gc.degree(g, v) == 1 for v in g.labels)
-    not_tri = not inv.is_triangulated
-    predicted_tri = triangulated_predictor(t)
-    if isolated == leaf_exists == not_tri and predicted_tri == inv.is_triangulated:
-        return ClaimResult(PASS, computed={
-            "has_isolated_point": isolated,
-            "has_leaf": leaf_exists,
-            "is_triangulated": inv.is_triangulated,
-        })
-    return ClaimResult(
-        FAIL,
-        expected="isolated point iff leaf iff not triangulated",
-        computed={
-            "has_isolated_point": isolated,
-            "has_leaf": leaf_exists,
-            "is_triangulated": inv.is_triangulated,
-        },
-        witness=_graph_witness(t, g),
-    )
-
-
-def _dt_two_point_exception(ws, t):
+def _dt_two_point(ws, t):
     """On the two-point space the graph is a single edge and one vertex
     dominates it, so the dominating number is 1, below the cellularity of
     2; the domination claims hold from three points on."""
-    inv = ws.ag_inv(t.n)
-    return ClaimResult(NA, computed={
+    if t.n != 2:
+        return None
+    return {
         "note": "two-point exception: a single vertex dominates the edge",
-        "dominating_number": inv.dominating_number,
+        "dominating_number": ws.ag_inv(t.n).dominating_number,
         "cellularity": cellularity(t),
         "weight": weight(t),
-    })
+    }
 
 
-def _c_thm_dt_bounds(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    if t.n == 2:
-        return _dt_two_point_exception(ws, t)
-    c, w = cellularity(t), weight(t)
-    dt = inv.dominating_number
-    if c <= dt <= w:
-        return ClaimResult(PASS, computed={"cellularity": c, "dominating_number": dt, "weight": w})
-    return ClaimResult(
-        FAIL,
-        expected="cellularity <= dominating number <= weight",
-        computed={"cellularity": c, "dominating_number": dt, "weight": w},
-        witness=_graph_witness(t, ws.ag(t.n)),
-    )
+def _two_points_or_fewer(ws, t):
+    return "stated for spaces with more than two points" if t.n <= 2 else None
 
 
-def _c_cor_dt_discrete(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    if t.n == 2:
-        return _dt_two_point_exception(ws, t)
-    return _eq(t.n, inv.dominating_number, {"topology": t.to_text()})
-
-
-def _c_thm_dt_finite(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    if t.n == 2:
-        return _dt_two_point_exception(ws, t)
-    if isinstance(inv.dominating_number, int) and inv.dominating_number == t.n:
-        return ClaimResult(PASS, computed={"dominating_number": inv.dominating_number})
-    return ClaimResult(
-        FAIL,
-        expected={"finite": True, "dominating_number": t.n},
-        computed={"dominating_number": _jsonable(inv.dominating_number)},
-        witness=_graph_witness(t, ws.ag(t.n)),
-    )
-
-
-def _c_thm_chi_clique_c(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    c = cellularity(t)
-    if inv.chromatic_number == inv.clique_number == c:
-        return ClaimResult(PASS, computed={"chromatic": inv.chromatic_number, "clique": inv.clique_number, "cellularity": c})
-    return ClaimResult(
-        FAIL,
-        expected="chromatic = clique = cellularity",
-        computed={"chromatic": inv.chromatic_number, "clique": inv.clique_number, "cellularity": c},
-        witness=_graph_witness(t, ws.ag(t.n)),
-    )
-
-
-def _c_thm_ag_complemented(ws, t, cls):
-    inv = _ag_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    return _eq(True, inv.is_complemented, _graph_witness(t, ws.ag(t.n)))
-
-
-# --------------------------------------------------------------------------
-# Disjoint-open-set graph checkers (intrinsic, any finite topology).
-# --------------------------------------------------------------------------
-
-
-def _dg_guard(ws, t):
-    inv = ws.dg_inv(t)
-    if inv.vertex_count == 0:
-        return None
-    return inv
-
-
-def _c_dg_eq_ag(ws, t, cls):
-    if t.n < 2:
-        return ClaimResult(DEGEN, computed="no vertices on a one-point space")
-    dg = ws.dg(t)
-    ag = ws.ag(t.n)
-    same = dg.labels == ag.labels and set(dg.edges()) == set(ag.edges())
-    return _eq(
-        True,
-        same,
-        _graph_witness(t, dg, ag_edges=[[a.render(), b.render()] for a, b in ag.edges()]),
-    )
-
-
-def _c_dg_thm_a(ws, t, cls):
-    inv = _dg_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="empty graph: no qualifying open sets")
-    predicted = 1 if t.n == 2 else 3
-    return _eq(predicted, _jsonable(inv.diameter), _graph_witness(t, ws.dg(t)))
-
-
-def _c_dg_thm_b(ws, t, cls):
-    inv = _dg_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="empty graph: no qualifying open sets")
-    return _iff(t.n == 2, inv.is_star, _graph_witness(t, ws.dg(t)))
-
-
-def _c_dg_thm_c(ws, t, cls):
-    inv = _dg_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="empty graph: no qualifying open sets")
-    predicted = radius_predictor(t.n, cls.has_isolated_point)
-    return _eq(predicted, _jsonable(inv.radius), _graph_witness(t, ws.dg(t)))
-
-
-def _c_dg_thm_d(ws, t, cls):
-    if t.n <= 2:
-        return ClaimResult(NA, computed="stated for spaces with more than two points")
-    inv = _dg_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="empty graph: no qualifying open sets")
-    return _eq(3, _jsonable(inv.girth), _graph_witness(t, ws.dg(t)))
-
-
-def _c_dg_thm_e(ws, t, cls):
-    inv = _dg_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="empty graph: no qualifying open sets")
-    c = cellularity(t)
-    if inv.chromatic_number == inv.clique_number == c:
-        return ClaimResult(PASS, computed={"chromatic": inv.chromatic_number, "clique": inv.clique_number, "cellularity": c})
-    return ClaimResult(
-        FAIL,
-        expected="chromatic = clique = cellularity",
-        computed={"chromatic": inv.chromatic_number, "clique": inv.clique_number, "cellularity": c},
-        witness=_graph_witness(t, ws.dg(t)),
-    )
-
-
-def _c_dg_thm_g(ws, t, cls):
-    inv = _dg_guard(ws, t)
-    if inv is None:
-        return ClaimResult(DEGEN, computed="empty graph: no qualifying open sets")
-    return _eq(True, inv.is_complemented, _graph_witness(t, ws.dg(t)))
-
-
-def _c_model_reflection(ws, t, cls):
-    m = cls.component_count
-    return _eq(1 << m, clopen_count(t), {"topology": t.to_text(), "components": m})
+# Shapes stated for both graphs.
+_STAR = _same(lambda t, cls, inv: (t.n == 2, inv.is_star))
+_RADIUS = _same(lambda t, cls, inv: (radius_predictor(t.n, cls.has_isolated_point), inv.radius))
+_CHI_CLIQUE_C = _holds("chromatic = clique = cellularity", _chi_clique_cellularity)
+_COMPLEMENTED = _same(lambda t, cls, inv: (True, inv.is_complemented))
 
 
 # --------------------------------------------------------------------------
@@ -897,33 +652,17 @@ def _dist_le(a, b) -> bool:
     return a <= b
 
 
+_HOM_KEYS = ("diameter", "radius", "girth", "dominating_number", "clique_number",
+             "chromatic_number", "is_complemented")
+
+
 def _hom_values(w: HomWitness) -> dict:
     cached = getattr(w, "_values_cache", None)
-    if cached is not None:
-        return cached
-    src, tgt = w.source, w.target
-    vals = {
-        "source": {
-            "diameter": gc.diameter(src),
-            "radius": gc.radius(src),
-            "girth": gc.girth(src),
-            "dominating_number": gc.dominating_number(src),
-            "clique_number": gc.clique_number(src),
-            "chromatic_number": gc.chromatic_number(src),
-            "is_complemented": gc.is_complemented(src),
-        },
-        "target": {
-            "diameter": gc.diameter(tgt),
-            "radius": gc.radius(tgt),
-            "girth": gc.girth(tgt),
-            "dominating_number": gc.dominating_number(tgt),
-            "clique_number": gc.clique_number(tgt),
-            "chromatic_number": gc.chromatic_number(tgt),
-            "is_complemented": gc.is_complemented(tgt),
-        },
-    }
-    w._values_cache = vals
-    return vals
+    if cached is None:
+        cached = {side: {key: getattr(gc, key)(g) for key in _HOM_KEYS}
+                  for side, g in (("source", w.source), ("target", w.target))}
+        w._values_cache = cached
+    return cached
 
 
 def _hom_witness_dict(w: HomWitness, vals: dict, key: str) -> dict:
@@ -937,34 +676,28 @@ def _hom_witness_dict(w: HomWitness, vals: dict, key: str) -> dict:
     }
 
 
-def _hom_eq_part(key: str):
+def _equal(s, t):
+    return t, s, s == t
+
+
+def _at_most(s, t):
+    return "target <= source", {"source": s, "target": t}, _dist_le(t, s)
+
+
+def _hom_part(key: str, compare):
+    """Checker comparing one invariant of the original graph (source) with
+    the collapsed one (target); ``compare(s, t)`` returns (expected,
+    computed, ok)."""
+
     def check(w: HomWitness) -> ClaimResult:
         vals = _hom_values(w)
         s, t = vals["source"][key], vals["target"][key]
         if s is DEGENERATE or t is DEGENERATE:
             return ClaimResult(DEGEN, computed="graph too small for this invariant")
-        if s == t:
-            return ClaimResult(PASS, expected=_jsonable(t), computed=_jsonable(s))
-        return ClaimResult(FAIL, expected=_jsonable(t), computed=_jsonable(s),
-                           witness=_hom_witness_dict(w, vals, key))
-
-    return check
-
-
-def _hom_le_part(key: str):
-    def check(w: HomWitness) -> ClaimResult:
-        vals = _hom_values(w)
-        s, t = vals["source"][key], vals["target"][key]
-        if s is DEGENERATE or t is DEGENERATE:
-            return ClaimResult(DEGEN, computed="graph too small for this invariant")
-        if _dist_le(t, s):
-            return ClaimResult(PASS, expected=f"target <= source", computed={"source": _jsonable(s), "target": _jsonable(t)})
-        return ClaimResult(
-            FAIL,
-            expected="target <= source",
-            computed={"source": _jsonable(s), "target": _jsonable(t)},
-            witness=_hom_witness_dict(w, vals, key),
-        )
+        expected, computed, ok = compare(s, t)
+        if ok:
+            return ClaimResult(PASS, expected=expected, computed=computed)
+        return ClaimResult(FAIL, expected, computed, _hom_witness_dict(w, vals, key))
 
     return check
 
@@ -976,13 +709,13 @@ def check_hom_lemma(w: HomWitness) -> dict[str, ClaimResult]:
 
 
 _HOM_CHECKS = {
-    "a": _hom_eq_part("diameter"),
-    "b": _hom_eq_part("radius"),
-    "c": _hom_le_part("girth"),
-    "d": _hom_le_part("dominating_number"),
-    "e": _hom_eq_part("clique_number"),
-    "f": _hom_eq_part("chromatic_number"),
-    "g": _hom_eq_part("is_complemented"),
+    "a": _hom_part("diameter", _equal),
+    "b": _hom_part("radius", _equal),
+    "c": _hom_part("girth", _at_most),
+    "d": _hom_part("dominating_number", _at_most),
+    "e": _hom_part("clique_number", _equal),
+    "f": _hom_part("chromatic_number", _equal),
+    "g": _hom_part("is_complemented", _equal),
 }
 
 
@@ -994,6 +727,13 @@ _HOM_CHECKS = {
 def _space_claim(cid, statement, tier, check, applies=_applies_all, find="fail"):
     return Claim(id=cid, statement=statement, tier=tier, scope="space",
                  applies=applies, check=check, find=find)
+
+
+def _graph_claim(cid, graph, shape, statement, outside=None):
+    """A guaranteed-tier claim about one graph: "ag" claims apply to
+    discrete spaces, "dg" claims to every space."""
+    applies = _applies_discrete if graph == "ag" else _applies_all
+    return _space_claim(cid, statement, "guaranteed", _on_graph(graph, shape, outside), applies)
 
 
 def _trial_claim(cid, statement, tier, part):
@@ -1057,135 +797,115 @@ def _build_registry() -> dict[str, Claim]:
             "Two vertices are orthogonal (adjacent with no common neighbor) exactly when their open sets are disjoint with dense union.",
             "guaranteed", _c_cor_orthogonal),
         # ring model over the discrete reflection
-        _space_claim(
-            "prop.size2.diam",
-            "The space has exactly two points iff the ideal graph has diameter 1.",
-            "guaranteed", _c_prop_size2_diam, applies=_applies_discrete),
-        _space_claim(
-            "prop.size2.clique",
-            "The space has exactly two points iff the clique number is 2.",
-            "guaranteed", _c_prop_size2_clique, applies=_applies_discrete),
-        _space_claim(
-            "prop.size2.bipartite",
-            "The space has exactly two points iff the ideal graph is bipartite with two nonempty parts.",
-            "guaranteed", _c_prop_size2_bipartite, applies=_applies_discrete),
-        _space_claim(
-            "prop.size2.complete_bipartite",
-            "The space has exactly two points iff the ideal graph is complete bipartite with two nonempty parts.",
-            "guaranteed", _c_prop_size2_complete_bipartite, applies=_applies_discrete),
-        _space_claim(
-            "prop.diam3",
-            "The space has at least three points iff the ideal graph has diameter 3.",
-            "guaranteed", _c_prop_diam3, applies=_applies_discrete),
-        _space_claim(
-            "prop.chi_clique",
-            "Chromatic number equals clique number for the ideal graph.",
-            "guaranteed", _c_prop_chi_clique, applies=_applies_discrete),
-        _space_claim(
-            "prop.finite",
-            "A finite space yields a finite graph with one vertex per nonzero proper ideal (2^n - 2 of them) and finite degree, clique and chromatic data.",
-            "guaranteed", _c_prop_finite, applies=_applies_discrete),
-        _space_claim(
-            "lem.distance",
-            "Distance trichotomy: disjoint opens are at distance 1; overlapping opens with non-dense union at distance 2; overlapping opens with dense union at distance 3.",
-            "guaranteed", _c_lem_distance, applies=_applies_discrete),
-        _space_claim(
-            "prop.ecc",
-            "Eccentricity is 3 unless a vertex's open set is a singleton; singletons have eccentricity 2 on spaces with more than two points and 1 on the two-point space.",
-            "guaranteed", _c_prop_ecc, applies=_applies_discrete),
-        _space_claim(
-            "cor.star",
-            "The space has exactly two points iff the ideal graph is a star.",
-            "guaranteed", _c_cor_star, applies=_applies_discrete),
-        _space_claim(
-            "thm.radius",
-            "Radius is 1 on the two-point space, 2 when the space is larger and has an isolated point, and 3 otherwise.",
-            "guaranteed", _c_thm_radius, applies=_applies_discrete),
-        _space_claim(
-            "prop.leaf",
-            "A vertex is a leaf exactly when the complement of the closure of its open set is a singleton.",
-            "guaranteed", _c_prop_leaf, applies=_applies_discrete),
-        _space_claim(
-            "lem.gi.a",
-            "For non-leaf vertices: shortest common cycle length 3 iff the opens are disjoint and their union is not dense.",
-            "guaranteed", _c_lem_gi_a, applies=_applies_discrete),
-        _space_claim(
-            "lem.gi.b",
-            "Disjoint opens with dense union give shortest common cycle length 4.",
-            "guaranteed", _c_lem_gi_b, applies=_applies_discrete),
-        _space_claim(
-            "lem.gi.c",
-            "Overlapping opens with equal closures give shortest common cycle length 4 (vacuous on discrete spaces, where equal closures force equal vertices).",
-            "guaranteed", _c_lem_gi_c, applies=_applies_discrete),
-        _space_claim(
-            "lem.gi.d",
-            "Overlapping opens with distinct closures and at least two points outside the closure of the union give shortest common cycle length 4.",
-            "guaranteed", _c_lem_gi_d, applies=_applies_discrete),
-        _space_claim(
-            "lem.gi.e",
-            "Shortest common cycle length 5 iff the opens overlap, their closures differ, and exactly one point lies outside the closure of the union.",
-            "guaranteed", _c_lem_gi_e, applies=_applies_discrete),
-        _space_claim(
-            "lem.gi.dense_overlap",
-            "Overlapping non-leaf vertices with distinct closures and dense union have no common neighbor; on a discrete space the shortest common cycle is two length-3 paths, length 6. This case is outside the 3/4/5 split.",
-            "guaranteed", _c_lem_gi_dense_overlap, applies=_applies_discrete),
-        _space_claim(
-            "thm.girth",
-            "Girth is 3 once the space has more than two points; the two-point space's graph is acyclic.",
-            "guaranteed", _c_thm_girth, applies=_applies_discrete),
-        _space_claim(
-            "thm.triangulated",
-            "The space has an isolated point iff the ideal graph has a leaf iff it is not triangulated.",
-            "guaranteed", _c_thm_triangulated, applies=_applies_discrete),
-        _space_claim(
-            "thm.dt.bounds",
+        _graph_claim(
+            "prop.size2.diam", "ag", _same(lambda t, cls, inv: (t.n == 2, inv.diameter == 1)),
+            "The space has exactly two points iff the ideal graph has diameter 1."),
+        _graph_claim(
+            "prop.size2.clique", "ag", _same(lambda t, cls, inv: (t.n == 2, inv.clique_number == 2)),
+            "The space has exactly two points iff the clique number is 2."),
+        _graph_claim(
+            "prop.size2.bipartite", "ag",
+            _same(lambda t, cls, inv: (t.n == 2, inv.is_bipartite and inv.vertex_count >= 2)),
+            "The space has exactly two points iff the ideal graph is bipartite with two nonempty parts."),
+        _graph_claim(
+            "prop.size2.complete_bipartite", "ag",
+            _same(lambda t, cls, inv: (t.n == 2, inv.is_complete_bipartite)),
+            "The space has exactly two points iff the ideal graph is complete bipartite with two nonempty parts."),
+        _graph_claim(
+            "prop.diam3", "ag", _same(lambda t, cls, inv: (t.n >= 3, inv.diameter == 3)),
+            "The space has at least three points iff the ideal graph has diameter 3."),
+        _graph_claim(
+            "prop.chi_clique", "ag",
+            _same(lambda t, cls, inv: (inv.clique_number, inv.chromatic_number)),
+            "Chromatic number equals clique number for the ideal graph."),
+        _graph_claim(
+            "prop.finite", "ag", _same(_finite),
+            "A finite space yields a finite graph with one vertex per nonzero proper ideal (2^n - 2 of them) and finite degree, clique and chromatic data."),
+        _graph_claim(
+            "lem.distance", "ag", _distance,
+            "Distance trichotomy: disjoint opens are at distance 1; overlapping opens with non-dense union at distance 2; overlapping opens with dense union at distance 3."),
+        _graph_claim(
+            "prop.ecc", "ag", _per_vertex(ecc_classifier, lambda inv, v: inv.eccentricity[v]),
+            "Eccentricity is 3 unless a vertex's open set is a singleton; singletons have eccentricity 2 on spaces with more than two points and 1 on the two-point space."),
+        _graph_claim(
+            "cor.star", "ag", _STAR,
+            "The space has exactly two points iff the ideal graph is a star."),
+        _graph_claim(
+            "thm.radius", "ag", _RADIUS,
+            "Radius is 1 on the two-point space, 2 when the space is larger and has an isolated point, and 3 otherwise."),
+        _graph_claim(
+            "prop.leaf", "ag", _per_vertex(leaf_classifier, lambda inv, v: inv.is_leaf[v]),
+            "A vertex is a leaf exactly when the complement of the closure of its open set is a singleton."),
+        _graph_claim(
+            "lem.gi.a", "ag", _gi_part("a"),
+            "For non-leaf vertices: shortest common cycle length 3 iff the opens are disjoint and their union is not dense."),
+        _graph_claim(
+            "lem.gi.b", "ag", _gi_part("b"),
+            "Disjoint opens with dense union give shortest common cycle length 4."),
+        _graph_claim(
+            "lem.gi.c", "ag", _gi_part("c"),
+            "Overlapping opens with equal closures give shortest common cycle length 4 (vacuous on discrete spaces, where equal closures force equal vertices)."),
+        _graph_claim(
+            "lem.gi.d", "ag", _gi_part("d"),
+            "Overlapping opens with distinct closures and at least two points outside the closure of the union give shortest common cycle length 4."),
+        _graph_claim(
+            "lem.gi.e", "ag", _gi_part("e"),
+            "Shortest common cycle length 5 iff the opens overlap, their closures differ, and exactly one point lies outside the closure of the union."),
+        _graph_claim(
+            "lem.gi.dense_overlap", "ag", _gi_part("dense_overlap"),
+            "Overlapping non-leaf vertices with distinct closures and dense union have no common neighbor; on a discrete space the shortest common cycle is two length-3 paths, length 6. This case is outside the 3/4/5 split."),
+        _graph_claim(
+            "thm.girth", "ag", _same(lambda t, cls, inv: (girth_predictor(t.n), inv.girth)),
+            "Girth is 3 once the space has more than two points; the two-point space's graph is acyclic."),
+        _graph_claim(
+            "thm.triangulated", "ag",
+            _holds("isolated point iff leaf iff not triangulated", _triangulated),
+            "The space has an isolated point iff the ideal graph has a leaf iff it is not triangulated."),
+        _graph_claim(
+            "thm.dt.bounds", "ag",
+            _holds("cellularity <= dominating number <= weight", _dt_bounds),
             "Cellularity of the space <= dominating number of the ideal graph <= weight of the space. Holds from three points on; the two-point space is a genuine exception (one vertex dominates the single edge, below cellularity 2) and is recorded as such.",
-            "guaranteed", _c_thm_dt_bounds, applies=_applies_discrete),
-        _space_claim(
-            "cor.dt.discrete",
+            outside=_dt_two_point),
+        _graph_claim(
+            "cor.dt.discrete", "ag", _same(lambda t, cls, inv: (t.n, inv.dominating_number)),
             "On a discrete space with at least three points the dominating number equals the number of points; on two points it is 1, not 2, and the exception is recorded.",
-            "guaranteed", _c_cor_dt_discrete, applies=_applies_discrete),
-        _space_claim(
-            "thm.dt.finite",
+            outside=_dt_two_point),
+        _graph_claim(
+            "thm.dt.finite", "ag",
+            _holds("dominating number = number of points",
+                   lambda t, cls, inv: (inv.dominating_number == t.n,
+                                        {"dominating_number": inv.dominating_number})),
             "The dominating number is finite exactly for finite spaces, where it equals the number of points (from three points on; the two-point exception is recorded).",
-            "guaranteed", _c_thm_dt_finite, applies=_applies_discrete),
-        _space_claim(
-            "thm.chi.clique.c",
-            "Chromatic number = clique number = cellularity of the space.",
-            "guaranteed", _c_thm_chi_clique_c, applies=_applies_discrete),
-        _space_claim(
-            "thm.ag.complemented",
-            "The ideal graph is complemented: every vertex has an orthogonal partner.",
-            "guaranteed", _c_thm_ag_complemented, applies=_applies_discrete),
+            outside=_dt_two_point),
+        _graph_claim(
+            "thm.chi.clique.c", "ag", _CHI_CLIQUE_C,
+            "Chromatic number = clique number = cellularity of the space."),
+        _graph_claim(
+            "thm.ag.complemented", "ag", _COMPLEMENTED,
+            "The ideal graph is complemented: every vertex has an orthogonal partner."),
         # disjoint-open-set graph, intrinsic to the topology
-        _space_claim(
-            "dg.eq.ag",
-            "On a discrete space the disjoint-open-set graph coincides label-for-label with the ideal graph.",
-            "guaranteed", _c_dg_eq_ag, applies=_applies_discrete),
-        _space_claim(
-            "dg.thm.a",
-            "Diameter of the disjoint-open-set graph: 1 on the two-point space, else 3.",
-            "guaranteed", _c_dg_thm_a),
-        _space_claim(
-            "dg.thm.b",
-            "The space has exactly two points iff the disjoint-open-set graph is a star.",
-            "guaranteed", _c_dg_thm_b),
-        _space_claim(
-            "dg.thm.c",
-            "Radius of the disjoint-open-set graph follows the same three cases as the ideal graph (1 / 2 with isolated point / 3 without).",
-            "guaranteed", _c_dg_thm_c),
-        _space_claim(
-            "dg.thm.d",
+        _graph_claim(
+            "dg.eq.ag", "ag", _dg_is_ag,
+            "On a discrete space the disjoint-open-set graph coincides label-for-label with the ideal graph."),
+        _graph_claim(
+            "dg.thm.a", "dg", _same(lambda t, cls, inv: (1 if t.n == 2 else 3, inv.diameter)),
+            "Diameter of the disjoint-open-set graph: 1 on the two-point space, else 3."),
+        _graph_claim(
+            "dg.thm.b", "dg", _STAR,
+            "The space has exactly two points iff the disjoint-open-set graph is a star."),
+        _graph_claim(
+            "dg.thm.c", "dg", _RADIUS,
+            "Radius of the disjoint-open-set graph follows the same three cases as the ideal graph (1 / 2 with isolated point / 3 without)."),
+        _graph_claim(
+            "dg.thm.d", "dg", _same(lambda t, cls, inv: (3, inv.girth)),
             "Girth of the disjoint-open-set graph is 3 once the space has more than two points.",
-            "guaranteed", _c_dg_thm_d),
-        _space_claim(
-            "dg.thm.e",
-            "Chromatic number = clique number = cellularity for the disjoint-open-set graph.",
-            "guaranteed", _c_dg_thm_e),
-        _space_claim(
-            "dg.thm.g",
-            "The disjoint-open-set graph is complemented.",
-            "guaranteed", _c_dg_thm_g),
+            outside=_two_points_or_fewer),
+        _graph_claim(
+            "dg.thm.e", "dg", _CHI_CLIQUE_C,
+            "Chromatic number = clique number = cellularity for the disjoint-open-set graph."),
+        _graph_claim(
+            "dg.thm.g", "dg", _COMPLEMENTED,
+            "The disjoint-open-set graph is complemented."),
         _space_claim(
             "model.reflection",
             "The number of continuous two-valued functions is 2 to the number of weak components; collapsing components to points yields a discrete space carrying the whole function ring.",
@@ -1279,19 +999,10 @@ def evaluate_space_claim(claim: Claim, t: Topology, ws: Workspace | None = None,
     if claim.scope != "space":
         raise ValueError(f"claim {claim.id} is not space-scoped")
     ws = ws or Workspace()
-    cls = classify(t)
+    cls, key = ws.space(t)
     if not claim.applies(t, cls):
         return None
-    res = claim.check(ws, t, cls)
-    return TheoremReport(
-        claim=claim.id,
-        space=canonical_form(t),
-        verdict=res.verdict,
-        expected=_jsonable(res.expected),
-        computed=_jsonable(res.computed),
-        witness=_jsonable(res.witness) if res.witness is not None else None,
-        mode=mode,
-    )
+    return TheoremReport.of(claim.id, key, claim.check(ws, t, cls), mode)
 
 
 def run_space_suite(claims: Sequence[Claim], spaces: Iterable[Topology],
@@ -1308,27 +1019,22 @@ def run_space_suite(claims: Sequence[Claim], spaces: Iterable[Topology],
                 reports.extend(TheoremReport(**d) for d in chunk)
     else:
         ws = ws or Workspace()
-        reports = []
-        for t in spaces:
-            for claim in space_claims:
-                rep = evaluate_space_claim(claim, t, ws, mode)
-                if rep is not None:
-                    reports.append(rep)
+        reports = [r for t in spaces for r in _space_reports(space_claims, t, ws, mode)]
     reports.sort(key=lambda r: (r.mode, r.claim, r.space))
     return reports
 
 
+def _space_reports(claims: Sequence[Claim], t: Topology, ws: Workspace,
+                   mode: str) -> list[TheoremReport]:
+    reports = (evaluate_space_claim(c, t, ws, mode) for c in claims)
+    return [r for r in reports if r is not None]
+
+
 def _space_worker(args) -> list[dict]:
     mode, ids, text = args
-    t = Topology.from_text(text)
-    ws = Workspace()
     reg = registry()
-    out = []
-    for cid in ids:
-        rep = evaluate_space_claim(reg[cid], t, ws, mode)
-        if rep is not None:
-            out.append(rep.__dict__)
-    return out
+    claims = [reg[cid] for cid in ids]
+    return [r.__dict__ for r in _space_reports(claims, Topology.from_text(text), Workspace(), mode)]
 
 
 def _make_trial_witness(rng: random.Random) -> HomWitness:
@@ -1356,16 +1062,7 @@ def run_hom_suite(claims: Sequence[Claim], trials: int, seed: int,
     reports = []
     for key, w in witnesses:
         for claim in trial_claims:
-            res = claim.check_trial(w)
-            reports.append(TheoremReport(
-                claim=claim.id,
-                space=key,
-                verdict=res.verdict,
-                expected=_jsonable(res.expected),
-                computed=_jsonable(res.computed),
-                witness=_jsonable(res.witness) if res.witness is not None else None,
-                mode=mode,
-            ))
+            reports.append(TheoremReport.of(claim.id, key, claim.check_trial(w), mode))
     reports.sort(key=lambda r: (r.mode, r.claim, r.space))
     return reports
 
@@ -1388,15 +1085,14 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}")
     selected = claims_matching(claim_patterns)
     reports: list[TheoremReport] = []
+    lo = max(n_lo or 2, 1)
     if suite in ("guaranteed", "all"):
-        lo = max(n_lo or 2, 1)
         hi = n_hi or 5
         guaranteed = [c for c in selected if c.tier == "guaranteed"]
         spaces = [Topology.discrete(k) for k in range(lo, hi + 1)]
         reports.extend(run_space_suite(guaranteed, spaces, "assert", parallelism))
         reports.extend(run_hom_suite(guaranteed, hom_trials, seed, "assert"))
     if suite in ("explore", "all"):
-        lo = max(n_lo or 2, 1)
         hi = n_hi or 4
         spaces = []
         for k in range(lo, hi + 1):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -135,6 +136,35 @@ class TestGraph:
         assert code == 0
         assert warm == cold
 
+    def test_cache_keeps_labels_of_homeomorphic_inputs(self, capsys, tmp_path):
+        # the two spaces are homeomorphic, so they share a canonical key, but
+        # their graphs have different vertex labels
+        cache = tmp_path / "cache"
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        first.write_text("n=3; opens=0x0,0x1,0x2,0x3,0x7\n")
+        second.write_text("n=3; opens=0x0,0x2,0x4,0x6,0x7\n")
+        code, out_a, _ = run(capsys, "graph", f"dg:{first}", "--cache-dir", str(cache))
+        assert code == 0
+        code, out_b, _ = run(capsys, "graph", f"dg:{second}", "--cache-dir", str(cache))
+        assert code == 0
+        code, cold_b, _ = run(capsys, "graph", f"dg:{second}")
+        assert code == 0
+        assert out_b == cold_b
+        assert json.loads(out_b)["degree"] == {"{1}": 1, "{2}": 1}
+        assert json.loads(out_a)["model"] == json.loads(out_b)["model"]
+
+    def test_corrupt_cache_entry_is_recomputed(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        code, cold, _ = run(capsys, "graph", "ag-discrete:3", "--cache-dir", str(cache))
+        assert code == 0
+        [entry] = cache.glob("*.json")
+        entry.write_text("{not json")
+        code, again, _ = run(capsys, "graph", "ag-discrete:3", "--cache-dir", str(cache))
+        assert code == 0
+        assert again == cold
+        assert json.loads(entry.read_text())["model"] == "ag-discrete:3"
+        assert [p.name for p in cache.iterdir()] == [entry.name]
+
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))
         code, _, _ = run(capsys, "graph", "ag-discrete:2")
@@ -203,6 +233,19 @@ class TestVerify:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_guaranteed_runs_on_six_points(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "guaranteed",
+                           "--n-range", "2..6", "--hom-trials", "5")
+        assert code == 0
+        assert any(json.loads(l)["space"].startswith("n=6;") for l in out.splitlines())
+
+    def test_report_stream_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n-range", "2..4")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "47c07c8f87d2bdfeb3907beae87d9c9d4d8452ba78379d8e94abce54dc3aa850")
+
+
 class TestSearch:
     def test_none_result(self, capsys):
         code, out, _ = run(capsys, "search", "thm.girth", "--max-n", "4")
@@ -228,3 +271,13 @@ class TestMisc:
 
     def test_no_command_exits_2(self, capsys):
         assert cli.main([]) == 2
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(cfg, want_invariants):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cmd_graph", broken)
+        code, out, err = run(capsys, "graph", "ag-discrete:3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:") and len(err.splitlines()) == 1

@@ -167,6 +167,11 @@ class TestClassifiers:
         assert ig.gi_classifier(d4, ps(4, 0, 1), ps(4, 1, 2)) == 5
         d5 = Topology.discrete(5)
         assert ig.gi_classifier(d5, ps(5, 0, 1, 2), ps(5, 2, 3, 4)) == 6
+        assert ig.gi_case(d4, ps(4, 0), ps(4, 1)) == "a"
+        assert ig.gi_case(d4, ps(4, 0, 1), ps(4, 2, 3)) == "b"
+        assert ig.gi_case(d5, ps(5, 0, 1), ps(5, 1, 2)) == "d"
+        assert ig.gi_case(d4, ps(4, 0, 1), ps(4, 1, 2)) == "e"
+        assert ig.gi_case(d5, ps(5, 0, 1, 2), ps(5, 2, 3, 4)) == "dense_overlap"
 
     def test_gi_rejects_leaves(self):
         d3 = Topology.discrete(3)

@@ -169,6 +169,15 @@ class TestExploreFindings:
         assert rep is not None and rep.verdict == veritas.FAIL
 
 
+    def test_gi_parts_check_the_production_classifier(self, monkeypatch):
+        monkeypatch.setattr(veritas, "gi_classifier", lambda t, g, h: 7)
+        reports, ok = veritas.run_suite("guaranteed", n_lo=4, n_hi=4,
+                                        claim_patterns=["lem.gi.*"], hom_trials=0)
+        assert not ok
+        assert {r.claim for r in reports if r.verdict == veritas.FAIL} == {
+            "lem.gi.a", "lem.gi.b", "lem.gi.d", "lem.gi.e"}
+
+
 class TestSearch:
     def test_girth_has_no_counterexample(self):
         assert veritas.search_counterexample("thm.girth", max_n=5) is None
