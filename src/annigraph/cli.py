@@ -33,6 +33,9 @@ from .topo import (
 )
 
 CACHE_ENV = "ANNIGRAPH_CACHE"
+# Largest dg: space whose canonical key is computed.  The key tries all n!
+# relabelings: about 0.5 s for the discrete 7-point space, 9 s for 8 points.
+DG_KEY_CAP = 7
 
 _FILTERS = {
     "discrete": lambda c: c.is_discrete,
@@ -177,7 +180,12 @@ def _build_model(cfg: RunConfig) -> tuple[str, str, object]:
             raise _UsageError(str(exc)) from exc
     if sel.startswith("dg:"):
         t = _load_topology(sel.split(":", 1)[1])
-        return f"dg:{canonical_form(t)}", f"dg:{t.to_text()}", build_dg(t)
+        if t.n > DG_KEY_CAP:
+            raise _UsageError(
+                f"dg: models are keyed by their canonical form, computed for at "
+                f"most {DG_KEY_CAP} points (got {t.n})"
+            )
+        return f"dg:{canonical_form(t, cap=t.n)}", f"dg:{t.to_text()}", build_dg(t)
     raise _UsageError(
         f"bad model selector {sel!r}; expected ag-discrete:<n> or dg:<topology-file>"
     )

@@ -34,10 +34,6 @@ DEGENERATE = _Sentinel("DEGENERATE")
 Distance = int | _Sentinel
 
 
-class CycleCapExceeded(Exception):
-    """A cycle through the requested pair exists, but only above the cap."""
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -132,21 +128,22 @@ def eccentricity(g: UGraph, u) -> Distance:
     return max(dist)
 
 
+def _extremes(n: int, eccs) -> tuple[Distance, Distance]:
+    """(radius, diameter) from the eccentricity of every vertex."""
+    if n < 2:
+        return DEGENERATE, DEGENERATE
+    eccs = list(eccs)
+    if INF in eccs:
+        return INF, INF
+    return min(eccs), max(eccs)
+
+
 def radius(g: UGraph) -> Distance:
-    if g.vertex_count < 2:
-        return DEGENERATE
-    eccs = [eccentricity(g, u) for u in g.labels]
-    finite = [e for e in eccs if e is not INF]
-    return min(finite) if finite else INF
+    return _extremes(g.vertex_count, (eccentricity(g, u) for u in g.labels))[0]
 
 
 def diameter(g: UGraph) -> Distance:
-    if g.vertex_count < 2:
-        return DEGENERATE
-    eccs = [eccentricity(g, u) for u in g.labels]
-    if any(e is INF for e in eccs):
-        return INF
-    return max(eccs)
+    return _extremes(g.vertex_count, (eccentricity(g, u) for u in g.labels))[1]
 
 
 def is_connected(g: UGraph) -> bool:
@@ -159,33 +156,42 @@ def is_connected(g: UGraph) -> bool:
 
 
 def girth(g: UGraph) -> Distance:
-    """Length of the shortest cycle: min over edges (u,v) of 1 + the
-    shortest u-v path avoiding that edge."""
+    """Length of the shortest cycle, by one level-by-level BFS per root
+    (Itai & Rodeh 1978).  An edge inside level d closes a walk of length
+    2d+1, a vertex reached twice from level d one of length 2d+2; both
+    contain a cycle, and a root on a shortest cycle finds its length."""
     n = g.vertex_count
     if n < 2:
         return DEGENERATE
-    best: int | None = None
-    for i in range(n):
-        for j in _bits(g.adj[i]):
-            if j <= i:
-                continue
-            adj2 = list(g.adj)
-            adj2[i] &= ~(1 << j)
-            adj2[j] &= ~(1 << i)
-            d = _bfs(adj2, i)[j]
-            if d >= 0 and (best is None or d + 1 < best):
-                best = d + 1
-    return INF if best is None else best
+    adj = g.adj
+    best = n + 1
+    for root in range(n):
+        frontier = seen = 1 << root
+        d = 0
+        while frontier and 2 * d + 1 < best:
+            if any(adj[v] & frontier for v in _bits(frontier)):
+                best = 2 * d + 1
+                break
+            nxt = twice = 0
+            for v in _bits(frontier):
+                fresh = adj[v] & ~seen
+                twice |= nxt & fresh
+                nxt |= fresh
+            if twice:
+                best = 2 * d + 2
+                break
+            seen |= nxt
+            frontier = nxt
+            d += 1
+    return INF if best > n else best
 
 
-def gi(g: UGraph, u, v, cap: int = 8) -> Distance:
+def gi(g: UGraph, u, v) -> Distance:
     """Length of the shortest cycle containing both u and v.
 
-    Exhaustive bounded search over simple cycles with branch-and-bound
-    pruning.  When nothing is found within ``cap``, the certified
-    disjoint-path method decides whether a longer cycle exists: INF means
-    none at all, otherwise CycleCapExceeded is raised so that "no cycle
-    up to the cap" is never conflated with "no cycle".
+    Exhaustive search over simple cycles of length at most 8 with
+    branch-and-bound pruning; beyond that the disjoint-path method
+    ``gi_two_paths`` gives the exact answer, INF when there is none.
     """
     iu, iv = g.index[u], g.index[v]
     if iu == iv:
@@ -195,7 +201,7 @@ def gi(g: UGraph, u, v, cap: int = 8) -> Distance:
     dv = _bfs(adj, iv)
     if du[iv] < 0:
         return INF
-    best = cap + 1
+    best = 9  # the search answers cycles of length at most 8
 
     def rec(c: int, vis: int, length: int, seen_v: bool) -> None:
         nonlocal best
@@ -218,14 +224,7 @@ def gi(g: UGraph, u, v, cap: int = 8) -> Distance:
             rec(x, vis | 1 << x, nl, seen_v or x == iv)
 
     rec(iu, 1 << iu, 0, False)
-    if best <= cap:
-        return best
-    exact = gi_two_paths(g, u, v)
-    if exact is INF:
-        return INF
-    raise CycleCapExceeded(
-        f"shortest cycle through {u!r} and {v!r} has length {exact} > cap {cap}"
-    )
+    return best if best <= 8 else gi_two_paths(g, u, v)
 
 
 def gi_two_paths(g: UGraph, u, v) -> Distance:
@@ -461,42 +460,42 @@ def clique_number(g: UGraph) -> int:
 
 
 def _k_colorable(g: UGraph, k: int) -> bool:
+    """DSATUR backtracking with an explicit stack of [vertex, next color to
+    try, highest color used before it, neighbors its color was added to]."""
     n = g.vertex_count
     adj = g.adj
     color = [-1] * n
     nbr_colors = [0] * n
     degs = [m.bit_count() for m in adj]
 
-    def rec(count: int, max_used: int) -> bool:
-        if count == n:
-            return True
-        # DSATUR order: max saturation, then max degree, then min index.
-        v = -1
-        key = (-1, -1, 0)
-        for x in range(n):
-            if color[x] < 0:
-                cand = (nbr_colors[x].bit_count(), degs[x], -x)
-                if cand > key:
-                    key = cand
-                    v = x
-        limit = min(max_used + 1, k - 1)
-        for c in range(limit + 1):
-            if nbr_colors[v] >> c & 1:
-                continue
-            color[v] = c
-            touched = []
-            for w in _bits(adj[v]):
-                if color[w] < 0 and not nbr_colors[w] >> c & 1:
-                    nbr_colors[w] |= 1 << c
-                    touched.append(w)
-            if rec(count + 1, max(max_used, c)):
-                return True
-            for w in touched:
-                nbr_colors[w] &= ~(1 << c)
-            color[v] = -1
-        return False
+    def pick() -> int:
+        # max saturation, then max degree, then min index
+        return max((x for x in range(n) if color[x] < 0),
+                   key=lambda x: (nbr_colors[x].bit_count(), degs[x], -x))
 
-    return rec(0, -1)
+    stack = [[pick(), 0, -1, []]]
+    while stack:
+        frame = stack[-1]
+        v, c, used, touched = frame
+        if color[v] >= 0:
+            for w in touched:
+                nbr_colors[w] &= ~(1 << color[v])
+            color[v] = -1
+        limit = min(used + 1, k - 1)
+        while c <= limit and nbr_colors[v] >> c & 1:
+            c += 1
+        if c > limit:
+            stack.pop()
+            continue
+        color[v] = c
+        touched = [w for w in _bits(adj[v]) if color[w] < 0 and not nbr_colors[w] >> c & 1]
+        for w in touched:
+            nbr_colors[w] |= 1 << c
+        frame[1], frame[3] = c + 1, touched
+        if len(stack) == n:
+            return True
+        stack.append([pick(), 0, max(used, c), []])
+    return False
 
 
 def chromatic_number(g: UGraph) -> int:
@@ -572,12 +571,13 @@ class InvariantReport:
 
 def compute_invariants(g: UGraph) -> InvariantReport:
     eccs = {u: eccentricity(g, u) for u in g.labels}
+    rad, diam = _extremes(g.vertex_count, eccs.values())
     return InvariantReport(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,
-        is_connected=is_connected(g),
-        diameter=diameter(g),
-        radius=radius(g),
+        is_connected=INF not in eccs.values(),
+        diameter=diam,
+        radius=rad,
         girth=girth(g),
         dominating_number=dominating_number(g),
         clique_number=clique_number(g),

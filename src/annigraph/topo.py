@@ -141,23 +141,6 @@ class Topology:
             raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {n}")
         fam = tuple(sorted({int(m) for m in opens}))
         full = (1 << n) - 1
-        if validate:
-            for m in fam:
-                if not 0 <= m <= full:
-                    raise ValueError(f"open set {m:#x} out of range for n={n}")
-            present = set(fam)
-            if 0 not in present or full not in present:
-                raise ValueError("opens must contain the empty set and the whole space")
-            for a in fam:
-                for b in fam:
-                    if a | b not in present or a & b not in present:
-                        raise ValueError(
-                            f"opens not closed under union/intersection at {a:#x},{b:#x}"
-                        )
-        self.n = n
-        self.opens = fam
-        self._full = full
-        self._open_set = frozenset(fam)
         min_nbhd = []
         for x in range(n):
             acc = full
@@ -165,6 +148,25 @@ class Topology:
                 if o >> x & 1:
                     acc &= o
             min_nbhd.append(acc)
+        if validate:
+            for m in fam:
+                if not 0 <= m <= full:
+                    raise ValueError(f"open set {m:#x} out of range for n={n}")
+            if not fam or fam[0] != 0 or fam[-1] != full:
+                raise ValueError("opens must contain the empty set and the whole space")
+            # A family is a topology iff it is exactly the set of unions of
+            # its minimal neighborhoods.
+            unions = {0}
+            for b in set(min_nbhd):
+                unions |= {u | b for u in unions}
+                if len(unions) > len(fam):
+                    break
+            if unions != set(fam):
+                raise ValueError("opens not closed under union/intersection")
+        self.n = n
+        self.opens = fam
+        self._full = full
+        self._open_set = frozenset(fam)
         self._min_nbhd = tuple(min_nbhd)
 
     # -- basic protocol -------------------------------------------------

@@ -168,7 +168,7 @@ class Workspace:
             nonleaf = [u for u in g.labels if gc.degree(g, u) != 1]
             table = {}
             for a, b in itertools.combinations(nonleaf, 2):
-                table[(a, b)] = gc.gi(g, a, b, cap=8)
+                table[(a, b)] = gc.gi(g, a, b)
             self._ag_gi[m] = table
         return self._ag_gi[m]
 

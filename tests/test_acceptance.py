@@ -94,7 +94,7 @@ def test_criterion_03_classifiers_vs_brute_force():
                 if ig.distance_classifier(t, a, b) != dmat[i][j]:
                     mismatches += 1
                 if n >= 4 and a not in leaves and b not in leaves:
-                    if ig.gi_classifier(t, a, b) != gc.gi(g, a, b, cap=8):
+                    if ig.gi_classifier(t, a, b) != gc.gi(g, a, b):
                         mismatches += 1
     _report(3, mismatches == 0,
             f"classifiers agree with BFS/cycle search on {pairs_checked} pairs, "

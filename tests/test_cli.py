@@ -113,6 +113,22 @@ class TestGraph:
         d = json.loads(js.read_text())
         assert d["vertices"] == ["{0}", "{1}"]
 
+    def test_dg_exports_six_points(self, capsys, tmp_path):
+        f = tmp_path / "discrete6.txt"
+        f.write_text(Topology.discrete(6).to_text() + "\n")
+        dot = tmp_path / "g.dot"
+        code, _, err = run(capsys, "graph", f"dg:{f}", "--export", "dot", "-o", str(dot))
+        assert code == 0, err
+        assert dot.read_text().count(" -- ") == 301
+
+    @pytest.mark.parametrize("n", [cli.DG_KEY_CAP + 1, 16])
+    def test_dg_over_the_key_cap_exits_2(self, capsys, tmp_path, n):
+        f = tmp_path / "big.txt"
+        f.write_text(Topology.discrete(n).to_text() + "\n")
+        code, _, err = run(capsys, "graph", f"dg:{f}", "--export", "dot")
+        assert code == 2
+        assert f"at most {cli.DG_KEY_CAP} points (got {n})" in err
+
     def test_bad_selector_exits_2(self, capsys):
         code, _, err = run(capsys, "graph", "nonsense:3")
         assert code == 2

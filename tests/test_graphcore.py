@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annigraph import graphcore as gc
-from annigraph.graphcore import DEGENERATE, INF, CycleCapExceeded, UGraph
+from annigraph.graphcore import DEGENERATE, INF, UGraph
 
 from oracles import (
     brute_chromatic,
@@ -96,13 +96,9 @@ class TestGirthAndGi:
         assert gc.gi(complete(4), 0, 1) == 3
         assert gc.gi(path(4), 0, 3) is INF
 
-    def test_cap_breach_is_distinct(self):
-        c10 = cycle(10)
-        with pytest.raises(CycleCapExceeded):
-            gc.gi(c10, 0, 5, cap=8)
-        assert gc.gi(c10, 0, 5, cap=10) == 10
-        # acyclic stays INF, not an error
-        assert gc.gi(path(6), 0, 5, cap=3) is INF
+    def test_gi_is_exact_past_the_search_depth(self):
+        assert gc.gi(cycle(10), 0, 5) == 10
+        assert gc.gi(path(6), 0, 5) is INF
 
     def test_two_paths_on_known_graphs(self):
         assert gc.gi_two_paths(cycle(6), 0, 3) == 6
@@ -121,7 +117,7 @@ class TestGirthAndGi:
         v = data.draw(st.integers(0, g.vertex_count - 1))
         if u == v:
             return
-        bounded = gc.gi(g, u, v, cap=g.vertex_count)
+        bounded = gc.gi(g, u, v)
         disjoint_paths = gc.gi_two_paths(g, u, v)
         assert bounded == disjoint_paths
 
@@ -133,7 +129,7 @@ class TestGirthAndGi:
         v = data.draw(st.integers(0, g.vertex_count - 1))
         if u == v:
             return
-        assert gc.gi(g, u, v, cap=g.vertex_count) == brute_gi(g, u, v)
+        assert gc.gi(g, u, v) == brute_gi(g, u, v)
 
 
 class TestLocalStructure:
@@ -200,6 +196,9 @@ class TestExactOptimization:
     def test_chromatic_matches_brute_force(self, g):
         assert gc.chromatic_number(g) == brute_chromatic(g)
 
+    def test_chromatic_number_of_a_long_path(self):
+        assert gc.chromatic_number(path(1200)) == 2
+
     @given(graphs(min_n=1, max_n=10))
     def test_invariant_relations(self, g):
         assert gc.clique_number(g) <= gc.chromatic_number(g)
@@ -220,6 +219,14 @@ class TestReportsAndExports:
         assert d["girth"] == 4 and d["radius"] == 2
         assert d["is_complete_bipartite"] is True
         assert not rep.is_degenerate
+
+    @given(graphs(min_n=0, max_n=10))
+    def test_report_distances_match_standalone_functions(self, g):
+        rep = gc.compute_invariants(g)
+        assert rep.radius == gc.radius(g)
+        assert rep.diameter == gc.diameter(g)
+        assert rep.is_connected == gc.is_connected(g)
+        assert rep.eccentricity == {u: gc.eccentricity(g, u) for u in g.labels}
 
     def test_degenerate_report(self):
         rep = gc.compute_invariants(UGraph([0], []))

@@ -145,6 +145,18 @@ class TestEnumeration:
         for t in enumerate_topologies(4):
             Topology(t.n, t.opens, validate=True)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_validation_accepts_exactly_the_topologies(self, n):
+        subsets = 1 << n
+        accepted = []
+        for pick in range(1 << subsets):
+            fam = [m for m in range(subsets) if pick >> m & 1]
+            try:
+                accepted.append(Topology(n, fam, validate=True).opens)
+            except ValueError:
+                pass
+        assert sorted(accepted) == brute_topologies(n)
+
     def test_deterministic_order(self):
         a = [t.to_text() for t in enumerate_topologies(3)]
         b = [t.to_text() for t in enumerate_topologies(3)]
