@@ -185,7 +185,7 @@ def _build_model(cfg: RunConfig) -> tuple[str, str, object]:
                 f"dg: models are keyed by their canonical form, computed for at "
                 f"most {DG_KEY_CAP} points (got {t.n})"
             )
-        return f"dg:{canonical_form(t, cap=t.n)}", f"dg:{t.to_text()}", build_dg(t)
+        return f"dg:{canonical_form(t)}", f"dg:{t.to_text()}", build_dg(t)
     raise _UsageError(
         f"bad model selector {sel!r}; expected ag-discrete:<n> or dg:<topology-file>"
     )

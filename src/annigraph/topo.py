@@ -7,17 +7,18 @@ smallest open set containing it.  Interior, closure, density, weight,
 cellularity and the reflection onto a discrete space all reduce to
 minimal-neighborhood arithmetic.
 
-Enumeration of all topologies on n labeled points proceeds by depth-first
+Enumeration of all topologies on n labeled points is a depth-first
 extension of union/intersection-closed families with closure completion
-and pruning; it handles n = 5 (6942 topologies) comfortably.  The test
-suite keeps an independent generate-and-filter oracle for small n.
+and pruning, capped at ``DEFAULT_ENUM_CAP`` points unless told otherwise
+(6942 topologies at n = 5, 209 527 at n = 6).  Homeomorphism classes come
+from orbit marking on that sorted stream, and the test suite keeps
+independent generate-and-filter oracles for small n.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator
 
 MAX_POINTS = 16
@@ -404,23 +405,11 @@ def _relabel(opens: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
-def _canonical_opens(n: int, opens: tuple[int, ...]) -> tuple[int, ...]:
-    best = None
-    for perm in itertools.permutations(range(n)):
-        fam = _relabel(opens, perm)
-        if best is None or fam < best:
-            best = fam
-    return best
-
-
-def canonical_form(t: Topology, cap: int = DEFAULT_ENUM_CAP) -> str:
-    """Canonical key: the lexicographically minimal relabeling, as text."""
-    if t.n > cap:
-        raise EnumerationCapExceeded(
-            f"canonical form requires n <= {cap} (got {t.n}); raise the cap explicitly"
-        )
-    return Topology(t.n, _canonical_opens(t.n, t.opens), validate=False).to_text()
+def canonical_form(t: Topology) -> str:
+    """Canonical key: the lexicographically minimal of all n! relabelings,
+    as text.  Callers handed spaces from outside bound n themselves."""
+    best = min(_relabel(t.opens, p) for p in itertools.permutations(range(t.n)))
+    return Topology(t.n, best, validate=False).to_text()
 
 
 def enumerate_topologies(
@@ -494,9 +483,16 @@ def canonical_topologies(
 ) -> Iterator[Topology]:
     """One representative per homeomorphism class, in stream order.
 
-    The representative is the lexicographically minimal labeled form, which
-    is also the first member of its class in the enumeration stream.
+    The labeled stream is sorted, so the first member of a class to appear
+    is its lexicographically minimal relabeling; it is yielded and its
+    orbit is marked as seen (McKay's orbit method of isomorph rejection).
+    The filter sees the representative only: ``classify`` is a
+    homeomorphism invariant.
     """
-    for t in enumerate_topologies(n, space_filter=space_filter, cap=cap):
-        if _canonical_opens(n, t.opens) == t.opens:
+    seen: set[tuple[int, ...]] = set()
+    for t in enumerate_topologies(n, cap=cap):
+        if t.opens in seen:
+            continue
+        seen.update(_relabel(t.opens, p) for p in itertools.permutations(range(n)))
+        if space_filter is None or space_filter(classify(t)):
             yield t

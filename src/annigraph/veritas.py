@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Sequence
 from . import graphcore as gc
 from .graphcore import DEGENERATE, INF, UGraph
 from .idealgraph import (
+    DEFAULT_MODEL_CAP,
     GI_CASES,
     HomWitness,
     build_ag_discrete,
@@ -43,6 +44,7 @@ from .idealgraph import (
     twin_expansion,
 )
 from .topo import (
+    DEFAULT_ENUM_CAP,
     PointSet,
     SpaceClass,
     Topology,
@@ -144,10 +146,9 @@ class Workspace:
         self._dg_inv: dict[Topology, gc.InvariantReport] = {}
 
     def space(self, t: Topology) -> tuple[SpaceClass, str]:
-        """Class and canonical key of t.  The enumeration cap does not
-        apply: the caller already holds the space."""
+        """Class and canonical key of t."""
         if t not in self._space:
-            self._space[t] = (classify(t), canonical_form(t, cap=t.n))
+            self._space[t] = (classify(t), canonical_form(t))
         return self._space[t]
 
     def ag(self, m: int) -> UGraph:
@@ -1067,6 +1068,12 @@ def run_hom_suite(claims: Sequence[Claim], trials: int, seed: int,
     return reports
 
 
+# Per suite: the default top of the point range and the largest accepted.
+# The guaranteed suite builds the ring model of each discrete space, the
+# explore suite enumerates every labeled topology.
+_SUITE_RANGE = {"guaranteed": (5, DEFAULT_MODEL_CAP), "explore": (4, DEFAULT_ENUM_CAP)}
+
+
 def run_suite(
     suite: str = "guaranteed",
     n_lo: int | None = None,
@@ -1083,19 +1090,25 @@ def run_suite(
     """
     if suite not in ("guaranteed", "explore", "all"):
         raise ValueError(f"unknown suite {suite!r}")
+    parts = ("guaranteed", "explore") if suite == "all" else (suite,)
+    tops = {part: n_hi or _SUITE_RANGE[part][0] for part in parts}
+    for part, hi in tops.items():
+        if hi > _SUITE_RANGE[part][1]:
+            raise ValueError(f"the {part} suite covers spaces of at most "
+                             f"{_SUITE_RANGE[part][1]} points (got {hi})")
+    if hom_trials < 0:
+        raise ValueError(f"hom trials must be >= 0 (got {hom_trials})")
     selected = claims_matching(claim_patterns)
     reports: list[TheoremReport] = []
     lo = max(n_lo or 2, 1)
-    if suite in ("guaranteed", "all"):
-        hi = n_hi or 5
+    if "guaranteed" in tops:
         guaranteed = [c for c in selected if c.tier == "guaranteed"]
-        spaces = [Topology.discrete(k) for k in range(lo, hi + 1)]
+        spaces = [Topology.discrete(k) for k in range(lo, tops["guaranteed"] + 1)]
         reports.extend(run_space_suite(guaranteed, spaces, "assert", parallelism))
         reports.extend(run_hom_suite(guaranteed, hom_trials, seed, "assert"))
-    if suite in ("explore", "all"):
-        hi = n_hi or 4
+    if "explore" in tops:
         spaces = []
-        for k in range(lo, hi + 1):
+        for k in range(lo, tops["explore"] + 1):
             spaces.extend(canonical_topologies(k))
         reports.extend(run_space_suite(selected, spaces, "explore", parallelism))
         explore_trials = [c for c in selected if c.scope == "trial" and c.tier == "explore"]
@@ -1111,6 +1124,9 @@ def search_counterexample(claim_id: str, max_n: int = 4) -> TheoremReport | None
     claim = registry()[claim_id]
     if claim.scope != "space":
         raise ValueError(f"claim {claim_id} is trial-scoped; search runs over spaces")
+    if max_n > DEFAULT_ENUM_CAP:
+        raise ValueError(f"search enumerates spaces of at most {DEFAULT_ENUM_CAP} "
+                         f"points (got {max_n})")
     ws = Workspace()
     for n in range(1, max_n + 1):
         for t in canonical_topologies(n):

@@ -45,6 +45,18 @@ def brute_topologies(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def brute_classes(n: int) -> list[tuple[int, ...]]:
+    """One family per homeomorphism class: the lexicographically minimal
+    relabeling of every labeled topology, deduplicated and sorted."""
+    classes = set()
+    for fam in brute_topologies(n):
+        classes.add(min(
+            tuple(sorted(_union(1 << p[i] for i in _bits(m)) for m in fam))
+            for p in itertools.permutations(range(n))
+        ))
+    return sorted(classes)
+
+
 def brute_weight(t: Topology) -> int:
     """Minimum cardinality of a base, by scanning all subfamilies."""
     opens = [m for m in t.opens]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from annigraph import cli
+from annigraph import cli, veritas
 from annigraph.topo import Topology
 
 
@@ -260,6 +260,37 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "47c07c8f87d2bdfeb3907beae87d9c9d4d8452ba78379d8e94abce54dc3aa850")
+
+    def test_explore_stream_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "explore", "--n-range", "2..5")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "77dd3efba0ad38f93ec114a212d68267457a7cb719d19f44b322d168eec16717")
+
+    @pytest.mark.parametrize("argv, limit", [
+        (("verify", "--suite", "guaranteed", "--n-range", "13..13"),
+         "the guaranteed suite covers spaces of at most 12 points (got 13)"),
+        (("verify", "--suite", "explore", "--n-range", "2..6"),
+         "the explore suite covers spaces of at most 5 points (got 6)"),
+        (("verify", "--suite", "all", "--n-range", "2..6"),
+         "the explore suite covers spaces of at most 5 points (got 6)"),
+        (("search", "thm.girth", "--max-n", "6"),
+         "search enumerates spaces of at most 5 points (got 6)"),
+        (("verify", "--n-range", "2..2", "--hom-trials", "-5"),
+         "hom trials must be >= 0 (got -5)"),
+    ])
+    def test_out_of_range_input_is_refused_before_any_work(
+            self, capsys, monkeypatch, argv, limit):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the range was checked")
+
+        for name in ("canonical_form", "canonical_topologies", "run_space_suite"):
+            monkeypatch.setattr(veritas, name, no_work)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {limit}\n"
+        assert "raise the cap" not in err
 
 
 class TestSearch:

@@ -21,8 +21,10 @@ from annigraph.topo import (
     weight,
 )
 
+from annigraph.cli import _FILTERS
 from oracles import (
     brute_cellularity,
+    brute_classes,
     brute_topologies,
     brute_two_valued_function_count,
     brute_weight,
@@ -177,6 +179,25 @@ class TestEnumeration:
 class TestCanonicalForms:
     def test_nine_classes_on_three_points(self):
         assert sum(1 for _ in canonical_topologies(3)) == 9
+        # OEIS A001930: topologies on n points up to homeomorphism.
+        counts = [sum(1 for _ in canonical_topologies(n)) for n in range(1, 6)]
+        assert counts == [1, 3, 9, 33, 139]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_classes_match_brute_force(self, n):
+        assert [t.opens for t in canonical_topologies(n)] == brute_classes(n)
+
+    @pytest.mark.parametrize("name", sorted(_FILTERS))
+    def test_filtered_classes_are_the_filtered_stream(self, name):
+        keep = _FILTERS[name]
+        filtered = list(canonical_topologies(4, space_filter=keep))
+        assert filtered == [t for t in canonical_topologies(4) if keep(classify(t))]
+
+    def test_every_key_names_one_representative(self):
+        reps = [t.to_text() for t in canonical_topologies(4)]
+        assert len(set(reps)) == len(reps)
+        keys = {canonical_form(t) for t in enumerate_topologies(4)}
+        assert keys == set(reps)
 
     def test_discrete_symmetric(self):
         t = Topology.discrete(3)
