@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -147,13 +148,16 @@ def cmd_topo_enum(cfg: RunConfig, canonical: bool, filter_name: str | None,
             )
         space_filter = _FILTERS[filter_name]
     gen = canonical_topologies if canonical else enumerate_topologies
+    stream = gen(cfg.n, space_filter=space_filter, cap=max_n)
     try:
-        stream = list(gen(cfg.n, space_filter=space_filter, cap=max_n))
+        # The generators check n against the cap on their first step, so
+        # a refused n leaves no output behind.
+        first = list(itertools.islice(stream, 1))
     except EnumerationCapExceeded as exc:
         raise _UsageError(str(exc)) from exc
     out, close = _open_out(cfg.out)
     try:
-        for t in stream:
+        for t in itertools.chain(first, stream):
             if as_json:
                 out.write(json.dumps(t.to_json_dict(), sort_keys=True,
                                      separators=(",", ":")) + "\n")

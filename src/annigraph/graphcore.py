@@ -122,10 +122,19 @@ def distance_matrix(g: UGraph) -> list[list[int]]:
 
 
 def eccentricity(g: UGraph, u) -> Distance:
-    dist = _bfs(g.adj, g.index[u])
-    if any(d < 0 for d in dist):
-        return INF
-    return max(dist)
+    """Number of BFS levels below u, walked as masks; INF when some vertex
+    is unreachable."""
+    adj = g.adj
+    frontier = seen = 1 << g.index[u]
+    levels = -1
+    while frontier:
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+        levels += 1
+    return levels if seen == (1 << len(adj)) - 1 else INF
 
 
 def _extremes(n: int, eccs) -> tuple[Distance, Distance]:

@@ -8,6 +8,11 @@ mode records verdicts for every claim over arbitrary finite topologies
 without ever failing the run, because several statements provably need
 separation hypotheses and their divergences are findings, not defects.
 
+Claims are rows of data.  The identities of the open-set calculus are
+laws over one operator table per space (``i[u]`` = interior(X minus u) and
+``cl[u]`` = closure(u) for every subset u) checked by ``_laws``; graph
+claims name a graph and a shape checked by ``_on_graph``.
+
 Reports serialize to JSON Lines (schema ``veritas/1``) and are
 byte-stable: fixed key order, deterministic claim/space ordering, no
 timestamps.
@@ -18,6 +23,7 @@ from __future__ import annotations
 import fnmatch
 import itertools
 import json
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -229,69 +235,75 @@ def _component_unions(t: Topology) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# Operator-level checkers (identities of the open-set calculus; these hold
-# for every finite topology).
+# Operator-level claims.  The identities of the open-set calculus hold on
+# every finite topology; a claim states them as a row of laws, and one
+# checker evaluates the row over the space's operator tables.
 # --------------------------------------------------------------------------
 
 
-def _i_mask(t: Topology, u: int) -> int:
-    return interior_mask(t, t._full & ~u)
+class _Operators:
+    """Operator tables of one space, indexed by subset mask: ``i[u]`` is
+    interior(X minus u), the open set of the ideal vanishing on u, and
+    ``cl[u]`` is closure(u); ``q[s]`` is the union of weak components
+    selected by s (see ``_component_unions``)."""
+
+    def __init__(self, t: Topology):
+        self.t = t
+        self.full = t._full
+        self.opens = t.opens
+        self.i = [interior_mask(t, t._full & ~u) for u in _subsets(t)]
+        self.cl = [closure_mask(t, u) for u in _subsets(t)]
+        self.q = _component_unions(t)
 
 
-def _c_lem_order(ws, t, cls):
-    full = t._full
-    for u in _subsets(t):
-        iu = _i_mask(t, u)
-        if ((iu == 0) != (closure_mask(t, u) == full) or (iu == full) != (u == 0)
-                or iu != _i_mask(t, closure_mask(t, u))):
-            return ClaimResult(FAIL, witness={"topology": t.to_text(), "u": f"{u:#x}"})
-        for v in _subsets(t):
-            if u & ~v == 0 and _i_mask(t, v) & ~iu:
-                return ClaimResult(
-                    FAIL, witness={"topology": t.to_text(), "u": f"{u:#x}", "v": f"{v:#x}"}
-                )
-    return ClaimResult(PASS, computed={"subsets_checked": 1 << t.n})
+# What each coordinate of a law ranges over: u, v subsets; g, h open sets;
+# s, r selectors of component unions.
+_RANGES = {
+    "u": lambda x: range(len(x.i)), "v": lambda x: range(len(x.i)),
+    "g": lambda x: x.opens, "h": lambda x: x.opens,
+    "s": lambda x: range(len(x.q)), "r": lambda x: range(len(x.q)),
+}
 
 
-def _c_prop_generated(ws, t, cls):
-    cu = _component_unions(t)
-    for a in cu:
-        for b in cu:
-            span = 0
-            for c in cu:
-                if c & ~(a | b) == 0:
-                    span |= c
-            if span != a | b:
-                return ClaimResult(
-                    FAIL,
-                    witness={"topology": t.to_text(), "a": f"{a:#x}", "b": f"{b:#x}"},
-                )
-    return ClaimResult(PASS, computed={"cozero_pairs_checked": len(cu) ** 2})
+def _laws(record: str, *parts):
+    """Checker for a row of laws.  A part is (coordinates, law), and
+    ``law(x, *masks)`` must hold on the operator tables x for every tuple
+    of the coordinates' ranges.  The first false tuple is the witness; a
+    pass records the size of the first part's domain under ``record``."""
+
+    def check(ws, t, cls):
+        x = _Operators(t)
+        for coords, law in parts:
+            for masks in itertools.product(*(_RANGES[c](x) for c in coords)):
+                if not law(x, *masks):
+                    return ClaimResult(FAIL, witness={
+                        "topology": t.to_text(), **{c: f"{m:#x}" for c, m in zip(coords, masks)}})
+        size = math.prod(len(_RANGES[c](x)) for c in parts[0][0])
+        return ClaimResult(PASS, computed={record: size})
+
+    return check
 
 
-def _c_prop_cap_cup(ws, t, cls):
-    for u in _subsets(t):
-        iu = _i_mask(t, u)
-        for v in _subsets(t):
-            iv = _i_mask(t, v)
-            if _i_mask(t, u | v) != iu & iv or (iu | iv) & ~_i_mask(t, u & v):
-                return ClaimResult(
-                    FAIL, witness={"topology": t.to_text(), "u": f"{u:#x}", "v": f"{v:#x}"}
-                )
-    # support model: sums map to unions, pairwise intersections to
-    # intersections, on the component lattice
-    q = _component_unions(t)
-    for s, r in itertools.product(range(len(q)), repeat=2):
-        if q[s | r] != q[s] | q[r] or q[s & r] != q[s] & q[r]:
-            return ClaimResult(FAIL, witness={"topology": t.to_text()})
-    return ClaimResult(PASS, computed={"subset_pairs_checked": (1 << t.n) ** 2})
+def _generated_span(x, s: int) -> int:
+    """Cozero union of the ideal generated by the functions supported on
+    the components s selects: every selector inside s contributes."""
+    span = 0
+    for c in range(len(x.q)):
+        if c & ~s == 0:
+            span |= x.q[c]
+    return span
+
+
+def _element_ag_b_truth(x, u: int) -> bool:
+    return x.cl[u] != x.full and interior_mask(x.t, x.cl[u]) != 0
 
 
 def _c_strict_cup(ws, t, cls):
+    i = _Operators(t).i
     for u in _subsets(t):
         for v in range(u, 1 << t.n):
-            lhs = _i_mask(t, u & v)
-            rhs = _i_mask(t, u) | _i_mask(t, v)
+            lhs = i[u & v]
+            rhs = i[u] | i[v]
             if rhs & ~lhs == 0 and lhs != rhs:
                 sides = {"i_of_intersection": PointSet(t.n, lhs), "union_of_i": PointSet(t.n, rhs)}
                 return ClaimResult(PASS, "strict inclusion", sides, {
@@ -313,70 +325,6 @@ def _c_strict_cap(ws, t, cls):
     return ClaimResult(NA, computed="no overlapping distinct cozero sets")
 
 
-def _c_prop_o_and_i(ws, t, cls):
-    for g in t.opens:
-        a1 = _i_mask(t, g)
-        a3 = _i_mask(t, _i_mask(t, a1))
-        if a1 != a3:
-            return ClaimResult(
-                FAIL,
-                expected=PointSet(t.n, a1),
-                computed=PointSet(t.n, a3),
-                witness={"topology": t.to_text(), "g": PointSet(t.n, g)},
-            )
-    return ClaimResult(PASS, computed={"opens_checked": len(t.opens)})
-
-
-def _c_thm_ij_zero(ws, t, cls):
-    full = t._full
-    opens = t.opens
-    for g in opens:
-        ag = _i_mask(t, g)
-        clg = closure_mask(t, g)
-        for h in opens:
-            ah = _i_mask(t, h)
-            clh = closure_mask(t, h)
-            checks = (
-                ((g & ah == 0) == (g & ~clh == 0)),
-                ((ag & ah == 0) == (closure_mask(t, g | h) == full)),
-                ((clg == clh) == (ag == ah)),
-            )
-            if not all(checks):
-                return ClaimResult(
-                    FAIL,
-                    witness={"topology": t.to_text(), "g": f"{g:#x}", "h": f"{h:#x}"},
-                )
-        for u in _subsets(t):
-            if (g & _i_mask(t, u) == 0) != (g & ~closure_mask(t, u) == 0):
-                return ClaimResult(
-                    FAIL,
-                    witness={"topology": t.to_text(), "g": f"{g:#x}", "u": f"{u:#x}"},
-                )
-    # support model: products of support ideals vanish iff supports are
-    # disjoint iff the attached open sets are disjoint
-    q = _component_unions(t)
-    for s, r in itertools.product(range(len(q)), repeat=2):
-        if (s & r == 0) != (q[s] & q[r] == 0):
-            return ClaimResult(FAIL, witness={"topology": t.to_text()})
-    return ClaimResult(PASS, computed={"open_pairs_checked": len(opens) ** 2})
-
-
-def _c_cor_i_product_zero(ws, t, cls):
-    for u in _subsets(t):
-        iu = _i_mask(t, u)
-        for v in _subsets(t):
-            lhs = iu & _i_mask(t, v) == 0
-            rhs = closure_mask(t, u | v) == t._full
-            if lhs != rhs:
-                return ClaimResult(
-                    FAIL,
-                    expected=rhs,
-                    computed=lhs,
-                    witness={"topology": t.to_text(), "u": f"{u:#x}", "v": f"{v:#x}"},
-                )
-    return ClaimResult(PASS, computed={"subset_pairs_checked": (1 << t.n) ** 2})
-
-
 def _c_lem_o_onto(ws, t, cls):
     comps = _component_masks(t)
     for g in t.opens:
@@ -391,28 +339,11 @@ def _c_lem_o_onto(ws, t, cls):
     return ClaimResult(PASS, computed={"opens_checked": len(t.opens)})
 
 
-def _c_cor_element_ag_a(ws, t, cls):
-    for g in t.opens:
-        if g == 0:
-            continue
-        lhs = is_vertex(t, PointSet(t.n, g))
-        rhs = closure_mask(t, g) != t._full
-        if lhs != rhs:
-            return ClaimResult(
-                FAIL, expected=rhs, computed=lhs,
-                witness={"topology": t.to_text(), "g": PointSet(t.n, g)},
-            )
-    return ClaimResult(PASS, computed={"opens_checked": len(t.opens)})
-
-
-def _element_ag_b_truth(t: Topology, u: int) -> bool:
-    return closure_mask(t, u) != t._full and interior_mask(t, closure_mask(t, u)) != 0
-
-
 def _c_cor_element_ag_b_literal(ws, t, cls):
+    x = _Operators(t)
     for u in _subsets(t):
-        literal = interior_mask(t, closure_mask(t, u)) != 0
-        repaired = _element_ag_b_truth(t, u)
+        literal = interior_mask(t, x.cl[u]) != 0
+        repaired = _element_ag_b_truth(x, u)
         if literal != repaired:
             return ClaimResult(
                 FAIL,
@@ -425,17 +356,6 @@ def _c_cor_element_ag_b_literal(ws, t, cls):
                     "literal_predicate": literal,
                     "repaired_predicate": repaired,
                 },
-            )
-    return ClaimResult(PASS, computed={"subsets_checked": 1 << t.n})
-
-
-def _c_cor_element_ag_b_repaired(ws, t, cls):
-    for u in _subsets(t):
-        iu = _i_mask(t, u)
-        vertexhood = iu != 0 and closure_mask(t, iu) != t._full
-        if _element_ag_b_truth(t, u) != vertexhood:
-            return ClaimResult(
-                FAIL, witness={"topology": t.to_text(), "u": PointSet(t.n, u)}
             )
     return ClaimResult(PASS, computed={"subsets_checked": 1 << t.n})
 
@@ -730,6 +650,12 @@ def _space_claim(cid, statement, tier, check, applies=_applies_all, find="fail")
                  applies=applies, check=check, find=find)
 
 
+def _law_claim(cid, statement, record, *parts):
+    """A guaranteed-tier identity of the open-set calculus, checked on
+    every space by ``_laws``."""
+    return _space_claim(cid, statement, "guaranteed", _laws(record, *parts))
+
+
 def _graph_claim(cid, graph, shape, statement, outside=None):
     """A guaranteed-tier claim about one graph: "ag" claims apply to
     discrete spaces, "dg" claims to every space."""
@@ -745,18 +671,27 @@ def _trial_claim(cid, statement, tier, part):
 def _build_registry() -> dict[str, Claim]:
     claims = [
         # operator calculus, valid on every finite topology
-        _space_claim(
+        _law_claim(
             "lem.order",
             "The set-to-open operator U -> interior(X minus U) is antitone, is empty exactly on dense sets, is the whole space only on the empty set, and is unchanged by closing its argument.",
-            "guaranteed", _c_lem_order),
-        _space_claim(
+            "subsets_checked",
+            ("u", lambda x, u: ((x.i[u] == 0) == (x.cl[u] == x.full) and (x.i[u] == x.full) == (u == 0)
+                                and x.i[u] == x.i[x.cl[u]])),
+            ("uv", lambda x, u, v: u & ~v != 0 or x.i[v] & ~x.i[u] == 0)),
+        _law_claim(
             "prop.generated",
             "The open set attached to a family of functions equals the open set attached to the ideal the family generates (cozero unions are span-invariant).",
-            "guaranteed", _c_prop_generated),
-        _space_claim(
+            "cozero_pairs_checked",
+            ("sr", lambda x, s, r: _generated_span(x, s | r) == x.q[s] | x.q[r])),
+        _law_claim(
             "prop.cap_cup",
             "Sums of ideals map to unions of opens and vanishing ideals turn unions into intersections; the two remaining inclusion laws hold, with equality not required.",
-            "guaranteed", _c_prop_cap_cup),
+            "subset_pairs_checked",
+            ("uv", lambda x, u, v: (x.i[u | v] == x.i[u] & x.i[v]
+                                    and (x.i[u] | x.i[v]) & ~x.i[u & v] == 0)),
+            # support model: sums map to unions, pairwise intersections to
+            # intersections, on the component lattice
+            ("sr", lambda x, s, r: x.q[s | r] == x.q[s] | x.q[r] and x.q[s & r] == x.q[s] & x.q[r])),
         _space_claim(
             "prop.I.cup.e.strict",
             "Witness search: subsets U, V whose intersection's vanishing ideal is strictly larger than the sum of the two vanishing ideals (interior(X minus (U and V)) strictly contains the union of the two interiors).",
@@ -765,34 +700,45 @@ def _build_registry() -> dict[str, Claim]:
             "prop.O.cap.b.strict",
             "Witness search: two distinct nonzero functions with overlapping cozero sets; intersecting them as mere sets loses the overlap, so the cozero union of the intersection is strictly smaller. For ideals of a finite ring the corresponding inclusion is an equality.",
             "explore", _c_strict_cap, find="witness"),
-        _space_claim(
+        _law_claim(
             "prop.o_and_i",
             "The annihilator operator on open sets is idempotent after one application: applying it three times equals applying it once.",
-            "guaranteed", _c_prop_o_and_i),
-        _space_claim(
+            "opens_checked",
+            ("g", lambda x, g: x.i[g] == x.i[x.i[x.i[g]]])),
+        _law_claim(
             "thm.ij_zero",
             "Products and containments of ideals translate to open-set conditions: zero products mean disjoint opens; annihilator products vanish exactly when the union of opens is dense; equal closures mean equal annihilators; vanishing-ideal products vanish exactly on closure containment.",
-            "guaranteed", _c_thm_ij_zero),
-        _space_claim(
+            "open_pairs_checked",
+            ("gh", lambda x, g, h: ((g & x.i[h] == 0) == (g & ~x.cl[h] == 0)
+                                    and (x.i[g] & x.i[h] == 0) == (x.cl[g | h] == x.full)
+                                    and (x.cl[g] == x.cl[h]) == (x.i[g] == x.i[h]))),
+            ("gu", lambda x, g, u: (g & x.i[u] == 0) == (g & ~x.cl[u] == 0)),
+            # support model: products of support ideals vanish iff supports
+            # are disjoint iff the attached open sets are disjoint
+            ("sr", lambda x, s, r: (s & r == 0) == (x.q[s] & x.q[r] == 0))),
+        _law_claim(
             "cor.i_product_zero",
             "Two vanishing ideals multiply to zero exactly when the union of their defining sets is dense (their attached opens are disjoint iff the union is dense).",
-            "guaranteed", _c_cor_i_product_zero),
+            "subset_pairs_checked",
+            ("uv", lambda x, u, v: (x.i[u] & x.i[v] == 0) == (x.cl[u | v] == x.full))),
         _space_claim(
             "lem.o_onto",
             "Every open set is the cozero union of some ideal; in the finite model the attainable cozero unions are exactly the unions of weak components, so this holds iff every open set is such a union (true on discrete spaces).",
             "guaranteed", _c_lem_o_onto),
-        _space_claim(
+        _law_claim(
             "cor.elementAG.a",
             "A nonempty open set is a graph vertex exactly when its closure is not the whole space.",
-            "guaranteed", _c_cor_element_ag_a),
+            "opens_checked",
+            ("g", lambda x, g: g == 0 or is_vertex(x.t, PointSet(x.t.n, g)) == (x.cl[g] != x.full))),
         _space_claim(
             "cor.elementAG.b.literal",
             "Literal vertexhood test for the ideal vanishing on U: interior(closure(U)) nonempty. Diverges from the repaired test exactly on dense U with somewhere-dense closure; divergences are recorded, not repaired silently.",
             "explore", _c_cor_element_ag_b_literal, applies=_applies_multipoint),
-        _space_claim(
+        _law_claim(
             "cor.elementAG.b.repaired",
             "Repaired vertexhood test: closure(U) proper and interior(closure(U)) nonempty; equivalent to the attached open set being nonempty with non-dense closure.",
-            "guaranteed", _c_cor_element_ag_b_repaired),
+            "subsets_checked",
+            ("u", lambda x, u: _element_ag_b_truth(x, u) == (x.i[u] != 0 and x.cl[x.i[u]] != x.full))),
         _space_claim(
             "cor.orthogonal",
             "Two vertices are orthogonal (adjacent with no common neighbor) exactly when their open sets are disjoint with dense union.",
@@ -1098,6 +1044,8 @@ def run_suite(
                              f"{_SUITE_RANGE[part][1]} points (got {hi})")
     if hom_trials < 0:
         raise ValueError(f"hom trials must be >= 0 (got {hom_trials})")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1 (got {parallelism})")
     selected = claims_matching(claim_patterns)
     reports: list[TheoremReport] = []
     lo = max(n_lo or 2, 1)

@@ -58,6 +58,14 @@ class TestTopoEnum:
         assert code == 0
         assert len(out_file.read_text().strip().splitlines()) == 4
 
+    def test_cap_exceeded_creates_no_output_file(self, capsys, tmp_path):
+        out_file = tmp_path / "t.txt"
+        code, out, err = run(capsys, "topo", "enum", "7", "-o", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err == "error: enumeration cap is 5 (got n=7); raise the cap explicitly\n"
+        assert not out_file.exists()
+
 
 class TestGraph:
     def test_ag3_invariants(self, capsys):
@@ -267,6 +275,12 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "77dd3efba0ad38f93ec114a212d68267457a7cb719d19f44b322d168eec16717")
 
+    def test_guaranteed_stream_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "guaranteed", "--n-range", "2..5")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "06620f195685f3bf37e691c4b751ad64ee68df9fecef3e8f03f46634aa83663a")
+
     @pytest.mark.parametrize("argv, limit", [
         (("verify", "--suite", "guaranteed", "--n-range", "13..13"),
          "the guaranteed suite covers spaces of at most 12 points (got 13)"),
@@ -278,6 +292,8 @@ class TestVerify:
          "search enumerates spaces of at most 5 points (got 6)"),
         (("verify", "--n-range", "2..2", "--hom-trials", "-5"),
          "hom trials must be >= 0 (got -5)"),
+        (("verify", "--n-range", "2..2", "--parallelism", "0"),
+         "parallelism must be >= 1 (got 0)"),
     ])
     def test_out_of_range_input_is_refused_before_any_work(
             self, capsys, monkeypatch, argv, limit):

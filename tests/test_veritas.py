@@ -71,6 +71,11 @@ EXPECTED_CLAIM_IDS = {
 
 PAIRED4 = Topology(4, [0b0000, 0b0011, 0b1100, 0b1111])
 
+# The guaranteed identities of the open-set calculus, checked as law rows.
+IDENTITY_CLAIMS = ["lem.order", "prop.generated", "prop.cap_cup", "prop.o_and_i",
+                   "thm.ij_zero", "cor.i_product_zero", "cor.elementAG.a",
+                   "cor.elementAG.b.repaired"]
+
 
 class TestRegistry:
     def test_expected_ids(self):
@@ -176,6 +181,27 @@ class TestExploreFindings:
         assert not ok
         assert {r.claim for r in reports if r.verdict == veritas.FAIL} == {
             "lem.gi.a", "lem.gi.b", "lem.gi.d", "lem.gi.e"}
+
+    def test_identity_laws_fail_on_a_corrupted_table(self, monkeypatch):
+        build = veritas._Operators
+
+        def corrupted(t):
+            x = build(t)
+            x.i = [m >> 1 for m in x.i]
+            x.cl = [m >> 1 for m in x.cl]
+            x.q = x.q[::-1]
+            return x
+
+        monkeypatch.setattr(veritas, "_Operators", corrupted)
+        reports, ok = veritas.run_suite("guaranteed", n_lo=3, n_hi=3,
+                                        claim_patterns=IDENTITY_CLAIMS, hom_trials=0)
+        assert not ok
+        assert sorted(r.claim for r in reports) == sorted(IDENTITY_CLAIMS)
+        for r in reports:
+            assert r.verdict == veritas.FAIL
+            assert r.witness["topology"] == Topology.discrete(3).to_text()
+            masks = {k: v for k, v in r.witness.items() if k != "topology"}
+            assert masks and all(v.startswith("0x") for v in masks.values())
 
 
 class TestSearch:
