@@ -238,7 +238,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             parallelism=cfg.parallelism,
         )
     except KeyError as exc:
-        raise _UsageError(f"unknown claim: {exc}") from exc
+        raise _UsageError(f"unknown claim: {exc.args[0]}") from exc
     out, close = _open_out(cfg.out)
     try:
         for r in reports:
@@ -254,7 +254,7 @@ def cmd_search(cfg: RunConfig, claim: str, max_n: int) -> int:
     try:
         rep = veritas.search_counterexample(claim, max_n=max_n)
     except KeyError as exc:
-        raise _UsageError(f"unknown claim: {exc}") from exc
+        raise _UsageError(f"unknown claim: {exc.args[0]}") from exc
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     if rep is None:

@@ -10,9 +10,10 @@ minimal-neighborhood arithmetic.
 Enumeration of all topologies on n labeled points is a depth-first
 extension of union/intersection-closed families with closure completion
 and pruning, capped at ``DEFAULT_ENUM_CAP`` points unless told otherwise
-(6942 topologies at n = 5, 209 527 at n = 6).  Homeomorphism classes come
-from orbit marking on that sorted stream, and the test suite keeps
-independent generate-and-filter oracles for small n.
+(6942 topologies at n = 5, 209 527 at n = 6).  The search emits the
+families in lexicographic order as it finds them, without collecting them.
+Homeomorphism classes come from orbit marking on that ordered stream, and
+the test suite keeps independent generate-and-filter oracles for small n.
 """
 
 from __future__ import annotations
@@ -191,12 +192,6 @@ class Topology:
 
     def is_open_mask(self, mask: int) -> bool:
         return mask in self._open_set
-
-    def open_sets(self) -> tuple[PointSet, ...]:
-        return tuple(PointSet(self.n, m) for m in self.opens)
-
-    def full_set(self) -> PointSet:
-        return PointSet(self.n, self._full)
 
     def _check(self, a: PointSet) -> None:
         if a.n != self.n:
@@ -420,7 +415,8 @@ def enumerate_topologies(
     """All topologies on n labeled points, each exactly once.
 
     Families are emitted in lexicographic order of their sorted mask
-    tuples, so the stream is deterministic.
+    tuples, each as soon as the search completes it; nothing is collected
+    or sorted, so the stream is deterministic and starts at once.
     """
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {n}")
@@ -429,19 +425,17 @@ def enumerate_topologies(
             f"enumeration cap is {cap} (got n={n}); raise the cap explicitly"
         )
     full = (1 << n) - 1
-    found: list[tuple[int, ...]] = []
 
-    def dfs(m: int, fam_bits: int, fam: tuple[int, ...], excl: int) -> None:
+    def dfs(m: int, fam_bits: int, fam: tuple[int, ...],
+            excl: int) -> Iterator[tuple[int, ...]]:
+        while m < full and fam_bits >> m & 1:
+            m += 1
         if m == full:
-            found.append(fam)
+            yield fam
             return
-        if fam_bits >> m & 1:
-            dfs(m + 1, fam_bits, fam, excl)
-            return
-        # Branch 1: m stays out.
-        dfs(m + 1, fam_bits, fam, excl | (1 << m))
-        # Branch 2: m goes in; complete the closure, pruning on any
-        # forced member that was already excluded.
+        # Every mask below m is decided, so a family holding m sorts before
+        # every family that leaves it out: take m in first.  Complete the
+        # closure, pruning on any forced member that was already excluded.
         members = list(fam)
         members.append(m)
         bits = fam_bits | (1 << m)
@@ -462,15 +456,10 @@ def enumerate_topologies(
                     break
             i += 1
         if ok:
-            dfs(m + 1, bits, tuple(sorted(members)), excl)
+            yield from dfs(m + 1, bits, tuple(sorted(members)), excl)
+        yield from dfs(m + 1, fam_bits, fam, excl | (1 << m))
 
-    base = (0, full) if full else (0,)
-    base_bits = 0
-    for b in base:
-        base_bits |= 1 << b
-    dfs(1, base_bits, base, 0)
-    found.sort()
-    for fam in found:
+    for fam in dfs(1, 1 | 1 << full, (0, full), 0):
         t = Topology(n, fam, validate=False)
         if space_filter is None or space_filter(classify(t)):
             yield t
@@ -483,11 +472,11 @@ def canonical_topologies(
 ) -> Iterator[Topology]:
     """One representative per homeomorphism class, in stream order.
 
-    The labeled stream is sorted, so the first member of a class to appear
-    is its lexicographically minimal relabeling; it is yielded and its
-    orbit is marked as seen (McKay's orbit method of isomorph rejection).
-    The filter sees the representative only: ``classify`` is a
-    homeomorphism invariant.
+    The labeled stream is in lexicographic order, so the first member of a
+    class to appear is its lexicographically minimal relabeling; it is
+    yielded and its orbit is marked as seen (McKay's orbit method of
+    isomorph rejection).  The filter sees the representative only:
+    ``classify`` is a homeomorphism invariant.
     """
     seen: set[tuple[int, ...]] = set()
     for t in enumerate_topologies(n, cap=cap):

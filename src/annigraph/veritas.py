@@ -8,10 +8,12 @@ mode records verdicts for every claim over arbitrary finite topologies
 without ever failing the run, because several statements provably need
 separation hypotheses and their divergences are findings, not defects.
 
-Claims are rows of data.  The identities of the open-set calculus are
-laws over one operator table per space (``i[u]`` = interior(X minus u) and
-``cl[u]`` = closure(u) for every subset u) checked by ``_laws``; graph
-claims name a graph and a shape checked by ``_on_graph``.
+Every space claim reads one record per space, built once by
+``Workspace.space``: the space's class, canonical key, weak components,
+their unions and the operator tables ``i[u]`` = interior(X minus u) and
+``cl[u]`` = closure(u) for every subset u.  Claims are rows of data: the
+identities of the open-set calculus are laws over those tables checked by
+``_laws``; graph claims name a graph and a shape checked by ``_on_graph``.
 
 Reports serialize to JSON Lines (schema ``veritas/1``) and are
 byte-stable: fixed key order, deterministic claim/space ordering, no
@@ -52,7 +54,6 @@ from .idealgraph import (
 from .topo import (
     DEFAULT_ENUM_CAP,
     PointSet,
-    SpaceClass,
     Topology,
     canonical_form,
     canonical_topologies,
@@ -104,8 +105,8 @@ class Claim:
     statement: str
     tier: str  # "guaranteed" | "explore"
     scope: str  # "space" | "trial"
-    applies: Callable[[Topology, SpaceClass], bool] | None = None
-    check: Callable | None = None  # space: (ws, t, cls) -> ClaimResult
+    applies: Callable[[_Space], bool] | None = None
+    check: Callable | None = None  # space: (ws, _Space) -> ClaimResult
     check_trial: Callable | None = None  # trial: (HomWitness) -> ClaimResult
     find: str = "fail"  # what a search over spaces looks for
 
@@ -139,22 +140,48 @@ class TheoremReport:
         )
 
 
+class _Space:
+    """What the space claims read about one space, derived once: its class,
+    canonical key and weak components (as masks), ``q[s]`` the union of the
+    components selected by the bit mask s (distinct masks give distinct
+    unions), and the operator tables indexed by subset mask: ``i[u]`` is
+    interior(X minus u), the open set of the ideal vanishing on u, and
+    ``cl[u]`` is closure(u)."""
+
+    __slots__ = ("t", "cls", "key", "comps", "q", "i", "cl")
+
+    def __init__(self, t: Topology):
+        self.t = t
+        self.cls = classify(t)
+        self.key = canonical_form(t)
+        self.comps = [0] * self.cls.component_count
+        for p, c in enumerate(_component_labels(t)):
+            self.comps[c] |= 1 << p
+        self.q = [sum(c for k, c in enumerate(self.comps) if s >> k & 1)
+                  for s in range(1 << len(self.comps))]
+        self.i = [interior_mask(t, t._full & ~u) for u in range(1 << t.n)]
+        self.cl = [closure_mask(t, u) for u in range(1 << t.n)]
+
+    @property
+    def full(self) -> int:
+        return self.t._full
+
+
 class Workspace:
-    """Shared memo for the spaces' classes and keys, the model graphs and
-    their invariant tables."""
+    """Shared memo for the space records, the model graphs and their
+    invariant tables."""
 
     def __init__(self):
-        self._space: dict[Topology, tuple[SpaceClass, str]] = {}
+        self._space: dict[Topology, _Space] = {}
         self._ag: dict[int, UGraph] = {}
         self._ag_inv: dict[int, gc.InvariantReport] = {}
         self._ag_gi: dict[int, dict] = {}
         self._dg: dict[Topology, UGraph] = {}
         self._dg_inv: dict[Topology, gc.InvariantReport] = {}
 
-    def space(self, t: Topology) -> tuple[SpaceClass, str]:
-        """Class and canonical key of t."""
+    def space(self, t: Topology) -> _Space:
         if t not in self._space:
-            self._space[t] = (classify(t), canonical_form(t))
+            self._space[t] = _Space(t)
         return self._space[t]
 
     def ag(self, m: int) -> UGraph:
@@ -190,17 +217,17 @@ class Workspace:
         return self._dg_inv[t]
 
 
-def _applies_all(t: Topology, cls: SpaceClass) -> bool:
+def _applies_all(x: _Space) -> bool:
     return True
 
 
-def _applies_discrete(t: Topology, cls: SpaceClass) -> bool:
-    return cls.is_discrete
+def _applies_discrete(x: _Space) -> bool:
+    return x.cls.is_discrete
 
 
-def _applies_multipoint(t: Topology, cls: SpaceClass) -> bool:
+def _applies_multipoint(x: _Space) -> bool:
     # the ring-side vertex notions are vacuous on a one-point space
-    return t.n >= 2
+    return x.t.n >= 2
 
 
 def _eq(expected, computed, witness: dict | None = None) -> ClaimResult:
@@ -215,25 +242,6 @@ def _graph_witness(t: Topology, g: UGraph, **extra) -> dict:
     return w
 
 
-def _subsets(t: Topology) -> range:
-    return range(1 << t.n)
-
-
-def _component_masks(t: Topology) -> list[int]:
-    labels = _component_labels(t)
-    masks = [0] * (max(labels) + 1)
-    for x, c in enumerate(labels):
-        masks[c] |= 1 << x
-    return masks
-
-
-def _component_unions(t: Topology) -> list[int]:
-    """Every union of weak components, indexed by the bit mask that selects
-    the components; distinct masks give distinct unions."""
-    comps = _component_masks(t)
-    return [sum(c for i, c in enumerate(comps) if s >> i & 1) for s in range(1 << len(comps))]
-
-
 # --------------------------------------------------------------------------
 # Operator-level claims.  The identities of the open-set calculus hold on
 # every finite topology; a claim states them as a row of laws, and one
@@ -241,26 +249,11 @@ def _component_unions(t: Topology) -> list[int]:
 # --------------------------------------------------------------------------
 
 
-class _Operators:
-    """Operator tables of one space, indexed by subset mask: ``i[u]`` is
-    interior(X minus u), the open set of the ideal vanishing on u, and
-    ``cl[u]`` is closure(u); ``q[s]`` is the union of weak components
-    selected by s (see ``_component_unions``)."""
-
-    def __init__(self, t: Topology):
-        self.t = t
-        self.full = t._full
-        self.opens = t.opens
-        self.i = [interior_mask(t, t._full & ~u) for u in _subsets(t)]
-        self.cl = [closure_mask(t, u) for u in _subsets(t)]
-        self.q = _component_unions(t)
-
-
 # What each coordinate of a law ranges over: u, v subsets; g, h open sets;
 # s, r selectors of component unions.
 _RANGES = {
     "u": lambda x: range(len(x.i)), "v": lambda x: range(len(x.i)),
-    "g": lambda x: x.opens, "h": lambda x: x.opens,
+    "g": lambda x: x.t.opens, "h": lambda x: x.t.opens,
     "s": lambda x: range(len(x.q)), "r": lambda x: range(len(x.q)),
 }
 
@@ -271,13 +264,12 @@ def _laws(record: str, *parts):
     of the coordinates' ranges.  The first false tuple is the witness; a
     pass records the size of the first part's domain under ``record``."""
 
-    def check(ws, t, cls):
-        x = _Operators(t)
+    def check(ws, x):
         for coords, law in parts:
             for masks in itertools.product(*(_RANGES[c](x) for c in coords)):
                 if not law(x, *masks):
                     return ClaimResult(FAIL, witness={
-                        "topology": t.to_text(), **{c: f"{m:#x}" for c, m in zip(coords, masks)}})
+                        "topology": x.t.to_text(), **{c: f"{m:#x}" for c, m in zip(coords, masks)}})
         size = math.prod(len(_RANGES[c](x)) for c in parts[0][0])
         return ClaimResult(PASS, computed={record: size})
 
@@ -298,9 +290,9 @@ def _element_ag_b_truth(x, u: int) -> bool:
     return x.cl[u] != x.full and interior_mask(x.t, x.cl[u]) != 0
 
 
-def _c_strict_cup(ws, t, cls):
-    i = _Operators(t).i
-    for u in _subsets(t):
+def _c_strict_cup(ws, x):
+    t, i = x.t, x.i
+    for u in range(1 << t.n):
         for v in range(u, 1 << t.n):
             lhs = i[u & v]
             rhs = i[u] | i[v]
@@ -312,8 +304,9 @@ def _c_strict_cup(ws, t, cls):
     return ClaimResult(NA, computed="no strict pair on this space")
 
 
-def _c_strict_cap(ws, t, cls):
-    cozeros = sorted(m for m in _component_unions(t) if m)
+def _c_strict_cap(ws, x):
+    t = x.t
+    cozeros = sorted(m for m in x.q if m)
     for a, b in itertools.combinations(cozeros, 2):
         if a & b:
             sides = {"cozero_union_of_intersection": PointSet(t.n, 0),
@@ -325,10 +318,10 @@ def _c_strict_cap(ws, t, cls):
     return ClaimResult(NA, computed="no overlapping distinct cozero sets")
 
 
-def _c_lem_o_onto(ws, t, cls):
-    comps = _component_masks(t)
+def _c_lem_o_onto(ws, x):
+    t = x.t
     for g in t.opens:
-        for c in comps:
+        for c in x.comps:
             if g & c not in (0, c):
                 return ClaimResult(
                     FAIL,
@@ -339,9 +332,9 @@ def _c_lem_o_onto(ws, t, cls):
     return ClaimResult(PASS, computed={"opens_checked": len(t.opens)})
 
 
-def _c_cor_element_ag_b_literal(ws, t, cls):
-    x = _Operators(t)
-    for u in _subsets(t):
+def _c_cor_element_ag_b_literal(ws, x):
+    t = x.t
+    for u in range(1 << t.n):
         literal = interior_mask(t, x.cl[u]) != 0
         repaired = _element_ag_b_truth(x, u)
         if literal != repaired:
@@ -360,8 +353,8 @@ def _c_cor_element_ag_b_literal(ws, t, cls):
     return ClaimResult(PASS, computed={"subsets_checked": 1 << t.n})
 
 
-def _c_cor_orthogonal(ws, t, cls):
-    g = ws.dg(t)
+def _c_cor_orthogonal(ws, x):
+    t, g = x.t, ws.dg(x.t)
     if g.vertex_count < 2:
         return ClaimResult(DEGEN, computed="graph has fewer than two vertices")
     for a, b in itertools.combinations(g.labels, 2):
@@ -375,9 +368,9 @@ def _c_cor_orthogonal(ws, t, cls):
     return ClaimResult(PASS, computed={"pairs_checked": g.vertex_count * (g.vertex_count - 1) // 2})
 
 
-def _c_model_reflection(ws, t, cls):
-    m = cls.component_count
-    return _eq(1 << m, clopen_count(t), {"topology": t.to_text(), "components": m})
+def _c_model_reflection(ws, x):
+    m = x.cls.component_count
+    return _eq(1 << m, clopen_count(x.t), {"topology": x.t.to_text(), "components": m})
 
 
 # --------------------------------------------------------------------------
@@ -405,43 +398,43 @@ def _model(ws, t, graph):
 def _on_graph(graph, shape, outside=None):
     """Checker for a graph claim.  ``outside(ws, t)`` returns a note for
     spaces the statement excludes (recorded as not applicable), else None;
-    ``shape(ws, t, cls, g, inv)`` judges the claim on a nonempty graph."""
+    ``shape(ws, x, g, inv)`` judges the claim on a nonempty graph."""
 
-    def check(ws, t, cls):
+    def check(ws, x):
         if outside is not None:
-            note = outside(ws, t)
+            note = outside(ws, x.t)
             if note is not None:
                 return ClaimResult(NA, computed=note)
-        model = _model(ws, t, graph)
+        model = _model(ws, x.t, graph)
         if model is None:
             return ClaimResult(DEGEN, computed=_EMPTY[graph])
-        return shape(ws, t, cls, *model)
+        return shape(ws, x, *model)
 
     return check
 
 
 def _same(predicate):
-    """Shape: ``predicate(t, cls, inv)`` returns (expected, computed), which
-    must be equal."""
+    """Shape: ``predicate(x, inv)`` returns (expected, computed), which must
+    be equal."""
 
-    def shape(ws, t, cls, g, inv):
-        expected, computed = predicate(t, cls, inv)
+    def shape(ws, x, g, inv):
+        expected, computed = predicate(x, inv)
         if expected == computed:
             return ClaimResult(PASS, expected=expected, computed=computed)
-        return ClaimResult(FAIL, expected, computed, _graph_witness(t, g))
+        return ClaimResult(FAIL, expected, computed, _graph_witness(x.t, g))
 
     return shape
 
 
 def _holds(relation: str, predicate):
-    """Shape: ``predicate(t, cls, inv)`` returns (ok, computed values); a
-    failure records the relation as what was expected."""
+    """Shape: ``predicate(x, inv)`` returns (ok, computed values); a failure
+    records the relation as what was expected."""
 
-    def shape(ws, t, cls, g, inv):
-        ok, computed = predicate(t, cls, inv)
+    def shape(ws, x, g, inv):
+        ok, computed = predicate(x, inv)
         if ok:
             return ClaimResult(PASS, computed=computed)
-        return ClaimResult(FAIL, relation, computed, _graph_witness(t, g))
+        return ClaimResult(FAIL, relation, computed, _graph_witness(x.t, g))
 
     return shape
 
@@ -449,17 +442,18 @@ def _holds(relation: str, predicate):
 def _per_vertex(classifier, measure):
     """Shape: a closed-form vertex classifier against ``measure(inv, v)``."""
 
-    def shape(ws, t, cls, g, inv):
+    def shape(ws, x, g, inv):
         for v in g.labels:
-            predicted, actual = classifier(t, v), measure(inv, v)
+            predicted, actual = classifier(x.t, v), measure(inv, v)
             if predicted != actual:
-                return ClaimResult(FAIL, predicted, actual, _graph_witness(t, g, vertex=v))
+                return ClaimResult(FAIL, predicted, actual, _graph_witness(x.t, g, vertex=v))
         return ClaimResult(PASS, computed={"vertices_checked": g.vertex_count})
 
     return shape
 
 
-def _distance(ws, t, cls, g, inv):
+def _distance(ws, x, g, inv):
+    t = x.t
     dmat = gc.distance_matrix(g)
     for i, a in enumerate(g.labels):
         for j in range(i + 1, g.vertex_count):
@@ -478,7 +472,8 @@ def _gi_part(case: str):
     value = GI_CASES[case]
     exclusive = list(GI_CASES.values()).count(value) == 1
 
-    def shape(ws, t, cls, g, inv):
+    def shape(ws, x, g, inv):
+        t = x.t
         checked = 0
         for (a, b), measured in ws.ag_gi(t.n).items():
             if gi_case(t, a, b) == case:
@@ -496,41 +491,41 @@ def _gi_part(case: str):
     return shape
 
 
-def _dg_is_ag(ws, t, cls, g, inv):
-    dg = ws.dg(t)
+def _dg_is_ag(ws, x, g, inv):
+    dg = ws.dg(x.t)
     if dg.labels == g.labels and set(dg.edges()) == set(g.edges()):
         return ClaimResult(PASS, expected=True, computed=True)
     return ClaimResult(FAIL, True, False, _graph_witness(
-        t, dg, ag_edges=[[a.render(), b.render()] for a, b in g.edges()]))
+        x.t, dg, ag_edges=[[a.render(), b.render()] for a, b in g.edges()]))
 
 
-def _finite(t, cls, inv):
-    expected = (1 << t.n) - 2
+def _finite(x, inv):
+    expected = (1 << x.t.n) - 2
     ok = inv.vertex_count == expected and all(
-        isinstance(x, int)
-        for x in (inv.clique_number, inv.chromatic_number, inv.dominating_number))
+        isinstance(v, int)
+        for v in (inv.clique_number, inv.chromatic_number, inv.dominating_number))
     return ({"vertex_count": expected, "all_finite": True},
             {"vertex_count": inv.vertex_count, "all_finite": ok})
 
 
-def _triangulated(t, cls, inv):
+def _triangulated(x, inv):
     computed = {
-        "has_isolated_point": cls.has_isolated_point,
+        "has_isolated_point": x.cls.has_isolated_point,
         "has_leaf": any(inv.is_leaf.values()),
         "is_triangulated": inv.is_triangulated,
     }
-    ok = (cls.has_isolated_point == computed["has_leaf"] == (not inv.is_triangulated)
-          and triangulated_predictor(t) == inv.is_triangulated)
+    ok = (x.cls.has_isolated_point == computed["has_leaf"] == (not inv.is_triangulated)
+          and triangulated_predictor(x.t) == inv.is_triangulated)
     return ok, computed
 
 
-def _dt_bounds(t, cls, inv):
-    c, dt, w = cellularity(t), inv.dominating_number, weight(t)
+def _dt_bounds(x, inv):
+    c, dt, w = cellularity(x.t), inv.dominating_number, weight(x.t)
     return c <= dt <= w, {"cellularity": c, "dominating_number": dt, "weight": w}
 
 
-def _chi_clique_cellularity(t, cls, inv):
-    c = cellularity(t)
+def _chi_clique_cellularity(x, inv):
+    c = cellularity(x.t)
     computed = {"chromatic": inv.chromatic_number, "clique": inv.clique_number, "cellularity": c}
     return inv.chromatic_number == inv.clique_number == c, computed
 
@@ -554,10 +549,10 @@ def _two_points_or_fewer(ws, t):
 
 
 # Shapes stated for both graphs.
-_STAR = _same(lambda t, cls, inv: (t.n == 2, inv.is_star))
-_RADIUS = _same(lambda t, cls, inv: (radius_predictor(t.n, cls.has_isolated_point), inv.radius))
+_STAR = _same(lambda x, inv: (x.t.n == 2, inv.is_star))
+_RADIUS = _same(lambda x, inv: (radius_predictor(x.t.n, x.cls.has_isolated_point), inv.radius))
 _CHI_CLIQUE_C = _holds("chromatic = clique = cellularity", _chi_clique_cellularity)
-_COMPLEMENTED = _same(lambda t, cls, inv: (True, inv.is_complemented))
+_COMPLEMENTED = _same(lambda x, inv: (True, inv.is_complemented))
 
 
 # --------------------------------------------------------------------------
@@ -745,25 +740,25 @@ def _build_registry() -> dict[str, Claim]:
             "guaranteed", _c_cor_orthogonal),
         # ring model over the discrete reflection
         _graph_claim(
-            "prop.size2.diam", "ag", _same(lambda t, cls, inv: (t.n == 2, inv.diameter == 1)),
+            "prop.size2.diam", "ag", _same(lambda x, inv: (x.t.n == 2, inv.diameter == 1)),
             "The space has exactly two points iff the ideal graph has diameter 1."),
         _graph_claim(
-            "prop.size2.clique", "ag", _same(lambda t, cls, inv: (t.n == 2, inv.clique_number == 2)),
+            "prop.size2.clique", "ag", _same(lambda x, inv: (x.t.n == 2, inv.clique_number == 2)),
             "The space has exactly two points iff the clique number is 2."),
         _graph_claim(
             "prop.size2.bipartite", "ag",
-            _same(lambda t, cls, inv: (t.n == 2, inv.is_bipartite and inv.vertex_count >= 2)),
+            _same(lambda x, inv: (x.t.n == 2, inv.is_bipartite and inv.vertex_count >= 2)),
             "The space has exactly two points iff the ideal graph is bipartite with two nonempty parts."),
         _graph_claim(
             "prop.size2.complete_bipartite", "ag",
-            _same(lambda t, cls, inv: (t.n == 2, inv.is_complete_bipartite)),
+            _same(lambda x, inv: (x.t.n == 2, inv.is_complete_bipartite)),
             "The space has exactly two points iff the ideal graph is complete bipartite with two nonempty parts."),
         _graph_claim(
-            "prop.diam3", "ag", _same(lambda t, cls, inv: (t.n >= 3, inv.diameter == 3)),
+            "prop.diam3", "ag", _same(lambda x, inv: (x.t.n >= 3, inv.diameter == 3)),
             "The space has at least three points iff the ideal graph has diameter 3."),
         _graph_claim(
             "prop.chi_clique", "ag",
-            _same(lambda t, cls, inv: (inv.clique_number, inv.chromatic_number)),
+            _same(lambda x, inv: (inv.clique_number, inv.chromatic_number)),
             "Chromatic number equals clique number for the ideal graph."),
         _graph_claim(
             "prop.finite", "ag", _same(_finite),
@@ -802,7 +797,7 @@ def _build_registry() -> dict[str, Claim]:
             "lem.gi.dense_overlap", "ag", _gi_part("dense_overlap"),
             "Overlapping non-leaf vertices with distinct closures and dense union have no common neighbor; on a discrete space the shortest common cycle is two length-3 paths, length 6. This case is outside the 3/4/5 split."),
         _graph_claim(
-            "thm.girth", "ag", _same(lambda t, cls, inv: (girth_predictor(t.n), inv.girth)),
+            "thm.girth", "ag", _same(lambda x, inv: (girth_predictor(x.t.n), inv.girth)),
             "Girth is 3 once the space has more than two points; the two-point space's graph is acyclic."),
         _graph_claim(
             "thm.triangulated", "ag",
@@ -814,14 +809,14 @@ def _build_registry() -> dict[str, Claim]:
             "Cellularity of the space <= dominating number of the ideal graph <= weight of the space. Holds from three points on; the two-point space is a genuine exception (one vertex dominates the single edge, below cellularity 2) and is recorded as such.",
             outside=_dt_two_point),
         _graph_claim(
-            "cor.dt.discrete", "ag", _same(lambda t, cls, inv: (t.n, inv.dominating_number)),
+            "cor.dt.discrete", "ag", _same(lambda x, inv: (x.t.n, inv.dominating_number)),
             "On a discrete space with at least three points the dominating number equals the number of points; on two points it is 1, not 2, and the exception is recorded.",
             outside=_dt_two_point),
         _graph_claim(
             "thm.dt.finite", "ag",
             _holds("dominating number = number of points",
-                   lambda t, cls, inv: (inv.dominating_number == t.n,
-                                        {"dominating_number": inv.dominating_number})),
+                   lambda x, inv: (inv.dominating_number == x.t.n,
+                                   {"dominating_number": inv.dominating_number})),
             "The dominating number is finite exactly for finite spaces, where it equals the number of points (from three points on; the two-point exception is recorded).",
             outside=_dt_two_point),
         _graph_claim(
@@ -835,7 +830,7 @@ def _build_registry() -> dict[str, Claim]:
             "dg.eq.ag", "ag", _dg_is_ag,
             "On a discrete space the disjoint-open-set graph coincides label-for-label with the ideal graph."),
         _graph_claim(
-            "dg.thm.a", "dg", _same(lambda t, cls, inv: (1 if t.n == 2 else 3, inv.diameter)),
+            "dg.thm.a", "dg", _same(lambda x, inv: (1 if x.t.n == 2 else 3, inv.diameter)),
             "Diameter of the disjoint-open-set graph: 1 on the two-point space, else 3."),
         _graph_claim(
             "dg.thm.b", "dg", _STAR,
@@ -844,7 +839,7 @@ def _build_registry() -> dict[str, Claim]:
             "dg.thm.c", "dg", _RADIUS,
             "Radius of the disjoint-open-set graph follows the same three cases as the ideal graph (1 / 2 with isolated point / 3 without)."),
         _graph_claim(
-            "dg.thm.d", "dg", _same(lambda t, cls, inv: (3, inv.girth)),
+            "dg.thm.d", "dg", _same(lambda x, inv: (3, inv.girth)),
             "Girth of the disjoint-open-set graph is 3 once the space has more than two points.",
             outside=_two_points_or_fewer),
         _graph_claim(
@@ -946,10 +941,10 @@ def evaluate_space_claim(claim: Claim, t: Topology, ws: Workspace | None = None,
     if claim.scope != "space":
         raise ValueError(f"claim {claim.id} is not space-scoped")
     ws = ws or Workspace()
-    cls, key = ws.space(t)
-    if not claim.applies(t, cls):
+    x = ws.space(t)
+    if not claim.applies(x):
         return None
-    return TheoremReport.of(claim.id, key, claim.check(ws, t, cls), mode)
+    return TheoremReport.of(claim.id, x.key, claim.check(ws, x), mode)
 
 
 def run_space_suite(claims: Sequence[Claim], spaces: Iterable[Topology],
@@ -1072,6 +1067,8 @@ def search_counterexample(claim_id: str, max_n: int = 4) -> TheoremReport | None
     claim = registry()[claim_id]
     if claim.scope != "space":
         raise ValueError(f"claim {claim_id} is trial-scoped; search runs over spaces")
+    if max_n < 1:
+        raise ValueError(f"max n must be >= 1 (got {max_n})")
     if max_n > DEFAULT_ENUM_CAP:
         raise ValueError(f"search enumerates spaces of at most {DEFAULT_ENUM_CAP} "
                          f"points (got {max_n})")

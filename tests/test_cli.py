@@ -230,6 +230,7 @@ class TestVerify:
     def test_unknown_claim_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--claims", "zzz.*")
         assert code == 2
+        assert err == "error: unknown claim: no claim matches ['zzz.*']\n"
 
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--n-range", "oops")
@@ -294,6 +295,7 @@ class TestVerify:
          "hom trials must be >= 0 (got -5)"),
         (("verify", "--n-range", "2..2", "--parallelism", "0"),
          "parallelism must be >= 1 (got 0)"),
+        (("search", "thm.girth", "--max-n", "-3"), "max n must be >= 1 (got -3)"),
     ])
     def test_out_of_range_input_is_refused_before_any_work(
             self, capsys, monkeypatch, argv, limit):
@@ -323,8 +325,9 @@ class TestSearch:
         assert d["witness"]["u"]
 
     def test_unknown_claim_exits_2(self, capsys):
-        code, _, _ = run(capsys, "search", "thm.nothing")
+        code, _, err = run(capsys, "search", "thm.nothing")
         assert code == 2
+        assert err == "error: unknown claim: thm.nothing\n"
 
 
 class TestMisc:

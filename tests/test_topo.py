@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -163,6 +166,17 @@ class TestEnumeration:
         a = [t.to_text() for t in enumerate_topologies(3)]
         b = [t.to_text() for t in enumerate_topologies(3)]
         assert a == b == sorted(a)
+
+    def test_stream_starts_without_collecting_the_families(self):
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(enumerate_topologies(6, cap=6), 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 10
+        assert [t.opens for t in first] == sorted(t.opens for t in first)
+        assert peak < 1 << 20
 
     def test_filter(self):
         discretes = list(

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from annigraph import graphcore as gc
-from annigraph import veritas
+from annigraph import topo, veritas
 from annigraph.graphcore import INF, UGraph
 from annigraph.idealgraph import build_ag_discrete, twin_expansion
 from annigraph.topo import Topology, canonical_form
@@ -183,7 +183,7 @@ class TestExploreFindings:
             "lem.gi.a", "lem.gi.b", "lem.gi.d", "lem.gi.e"}
 
     def test_identity_laws_fail_on_a_corrupted_table(self, monkeypatch):
-        build = veritas._Operators
+        build = veritas._Space
 
         def corrupted(t):
             x = build(t)
@@ -192,7 +192,7 @@ class TestExploreFindings:
             x.q = x.q[::-1]
             return x
 
-        monkeypatch.setattr(veritas, "_Operators", corrupted)
+        monkeypatch.setattr(veritas, "_Space", corrupted)
         reports, ok = veritas.run_suite("guaranteed", n_lo=3, n_hi=3,
                                         claim_patterns=IDENTITY_CLAIMS, hom_trials=0)
         assert not ok
@@ -202,6 +202,28 @@ class TestExploreFindings:
             assert r.witness["topology"] == Topology.discrete(3).to_text()
             masks = {k: v for k, v in r.witness.items() if k != "topology"}
             assert masks and all(v.startswith("0x") for v in masks.values())
+
+
+class TestSpaceRecord:
+    def test_explore_builds_one_record_per_space(self, monkeypatch):
+        calls = {"records": 0, "labels": 0}
+        build, labels = veritas._Space, topo._component_labels
+
+        def counted_build(t):
+            calls["records"] += 1
+            return build(t)
+
+        def counted_labels(t):
+            calls["labels"] += 1
+            return labels(t)
+
+        monkeypatch.setattr(veritas, "_Space", counted_build)
+        for module in (topo, veritas):
+            monkeypatch.setattr(module, "_component_labels", counted_labels)
+        reports, _ = veritas.run_suite("explore", n_lo=2, n_hi=5, hom_trials=0)
+        spaces = {r.space for r in reports if r.space.startswith("n=")}
+        assert len(spaces) == calls["records"] == 184
+        assert calls["labels"] <= 2 * 184
 
 
 class TestSearch:
