@@ -4,9 +4,14 @@ Subcommands: ``topo enum`` streams topologies, ``graph`` builds a model
 and reports invariants or exports it, ``verify`` runs the claim suites,
 ``search`` scans canonical spaces for a counterexample or witness.
 
-Exit codes: 0 success, 1 a guaranteed-tier claim failed, 2 usage error,
-3 internal error (a defect of annigraph, reported on one line).
-All outputs are byte-reproducible under fixed flags and seed.
+Exit codes: 0 success, 1 a guaranteed-tier claim failed, 2 refused input,
+3 internal error.  Exit 2 comes from a ``UsageError``, raised only where
+input from outside the program is checked (arguments, claim ids, topology
+files), or from an ``OSError`` (a file that cannot be read or written);
+each prints one ``error:`` line.  Any other exception is a defect of
+annigraph and exits 3 with one ``internal error:`` line.  The console
+script dies quietly of SIGPIPE when its reader goes away, as other filters
+do.  All outputs are byte-reproducible under fixed flags and seed.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import hashlib
 import itertools
 import json
 import os
+import signal
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -26,8 +31,8 @@ from . import graphcore as gc
 from . import veritas
 from .idealgraph import build_ag_discrete, build_dg
 from .topo import (
-    EnumerationCapExceeded,
     Topology,
+    UsageError,
     canonical_form,
     canonical_topologies,
     enumerate_topologies,
@@ -49,26 +54,11 @@ _FILTERS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Resolved flags for one invocation; fixed seed means fixed output."""
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with a UsageError instead of the usage text."""
 
-    subcommand: str
-    n: int | None = None
-    model: str | None = None
-    suite: str = "guaranteed"
-    n_range: tuple[int, int] | None = None
-    claims: list[str] | None = None
-    export: str | None = None
-    out: str | None = None
-    cache_dir: str | None = None
-    parallelism: int = 1
-    seed: int = 0
-    hom_trials: int = veritas.DEFAULT_HOM_TRIALS
-
-
-class _UsageError(Exception):
-    pass
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -76,44 +66,51 @@ def _parse_n_range(text: str) -> tuple[int, int]:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
     except ValueError as exc:
-        raise _UsageError(f"bad range {text!r}, expected A..B") from exc
+        raise UsageError(f"bad range {text!r}, expected A..B") from exc
     if lo > hi or lo < 1:
-        raise _UsageError(f"bad range {text!r}")
+        raise UsageError(f"bad range {text!r}")
     return lo, hi
+
+
+def _stdout():
+    if sys.stdout is None:  # the process was started with stdout closed
+        raise UsageError("standard output is closed")
+    return sys.stdout
 
 
 def _open_out(path: str | None):
     if path is None or path == "-":
-        return sys.stdout, False
+        return _stdout(), False
     return open(path, "w"), True
 
 
 def _load_topology(ref: str) -> Topology:
     p = Path(ref)
     if not p.exists():
-        raise _UsageError(f"topology file not found: {ref}")
-    text = p.read_text().strip()
+        raise UsageError(f"topology file not found: {ref}")
+    try:  # undecodable bytes, malformed JSON, or JSON nested too deep to parse
+        text = p.read_text().strip()
+        data = json.loads(text) if text.startswith("{") else None
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(str(exc)) from exc
+    if data is not None:
+        return Topology.from_json_dict(data)
     if not text:
-        raise _UsageError(f"empty topology file: {ref}")
-    if text.lstrip().startswith("{"):
-        return Topology.from_json_dict(json.loads(text))
+        raise UsageError(f"empty topology file: {ref}")
     return Topology.from_text(text.splitlines()[0])
-
-
-def _cache_dir(cfg: RunConfig) -> Path | None:
-    d = cfg.cache_dir or os.environ.get(CACHE_ENV)
-    return Path(d) if d else None
 
 
 def _cache_key(labeled_key: str) -> str:
     return hashlib.sha256(f"{labeled_key}|{__version__}".encode()).hexdigest()
 
 
-def _cached_invariants(cfg: RunConfig, model_key: str, labeled_key: str, graph) -> dict:
+def _cached_invariants(cache_dir: str | None, model_key: str, labeled_key: str,
+                       graph) -> dict:
     """Invariant report of graph.  The cache is keyed by the labeled model,
     because the report names vertices by their labels; an unreadable entry
     is recomputed and replaced."""
-    cdir = _cache_dir(cfg)
+    d = cache_dir or os.environ.get(CACHE_ENV)
+    cdir = Path(d) if d else None
     if cdir is not None:
         cdir.mkdir(parents=True, exist_ok=True)
         path = cdir / f"{_cache_key(labeled_key)}.json"
@@ -138,27 +135,23 @@ def _cached_invariants(cfg: RunConfig, model_key: str, labeled_key: str, graph) 
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_topo_enum(cfg: RunConfig, canonical: bool, filter_name: str | None,
-                  as_json: bool, max_n: int) -> int:
+def cmd_topo_enum(args) -> int:
     space_filter = None
-    if filter_name is not None:
-        if filter_name not in _FILTERS:
-            raise _UsageError(
-                f"unknown filter {filter_name!r}; choose from {sorted(_FILTERS)}"
+    if args.filter_name is not None:
+        if args.filter_name not in _FILTERS:
+            raise UsageError(
+                f"unknown filter {args.filter_name!r}; choose from {sorted(_FILTERS)}"
             )
-        space_filter = _FILTERS[filter_name]
-    gen = canonical_topologies if canonical else enumerate_topologies
-    stream = gen(cfg.n, space_filter=space_filter, cap=max_n)
-    try:
-        # The generators check n against the cap on their first step, so
-        # a refused n leaves no output behind.
-        first = list(itertools.islice(stream, 1))
-    except EnumerationCapExceeded as exc:
-        raise _UsageError(str(exc)) from exc
-    out, close = _open_out(cfg.out)
+        space_filter = _FILTERS[args.filter_name]
+    gen = canonical_topologies if args.canonical else enumerate_topologies
+    stream = gen(args.n, space_filter=space_filter, cap=args.max_n)
+    # The generators check n against the cap on their first step, so a
+    # refused n leaves no output behind.
+    first = list(itertools.islice(stream, 1))
+    out, close = _open_out(args.out)
     try:
         for t in itertools.chain(first, stream):
-            if as_json:
+            if args.json:
                 out.write(json.dumps(t.to_json_dict(), sort_keys=True,
                                      separators=(",", ":")) + "\n")
             else:
@@ -169,34 +162,30 @@ def cmd_topo_enum(cfg: RunConfig, canonical: bool, filter_name: str | None,
     return 0
 
 
-def _build_model(cfg: RunConfig) -> tuple[str, str, object]:
+def _build_model(sel: str) -> tuple[str, str, object]:
     """(model key, labeled key, graph).  The model key of a dg model names
     the homeomorphism class; the labeled key names the labeled topology."""
-    sel = cfg.model
     if sel.startswith("ag-discrete:"):
         try:
             n = int(sel.split(":", 1)[1])
         except ValueError as exc:
-            raise _UsageError(f"bad model selector {sel!r}") from exc
-        try:
-            return f"ag-discrete:{n}", f"ag-discrete:{n}", build_ag_discrete(n)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+            raise UsageError(f"bad model selector {sel!r}") from exc
+        return f"ag-discrete:{n}", f"ag-discrete:{n}", build_ag_discrete(n)
     if sel.startswith("dg:"):
         t = _load_topology(sel.split(":", 1)[1])
         if t.n > DG_KEY_CAP:
-            raise _UsageError(
+            raise UsageError(
                 f"dg: models are keyed by their canonical form, computed for at "
                 f"most {DG_KEY_CAP} points (got {t.n})"
             )
         return f"dg:{canonical_form(t)}", f"dg:{t.to_text()}", build_dg(t)
-    raise _UsageError(
+    raise UsageError(
         f"bad model selector {sel!r}; expected ag-discrete:<n> or dg:<topology-file>"
     )
 
 
-def cmd_graph(cfg: RunConfig, want_invariants: bool) -> int:
-    model_key, labeled_key, graph = _build_model(cfg)
+def cmd_graph(args) -> int:
+    model_key, labeled_key, graph = _build_model(args.model)
     artifacts = {
         "dot": lambda: gc.to_dot(graph, render_label=str),
         "dimacs": lambda: gc.to_dimacs(graph, comment=model_key),
@@ -209,37 +198,31 @@ def cmd_graph(cfg: RunConfig, want_invariants: bool) -> int:
             sort_keys=True, separators=(",", ":"),
         ) + "\n",
     }
-    if cfg.export is not None:
-        if cfg.export not in artifacts:
-            raise _UsageError(f"unknown export format {cfg.export!r}")
-        out, close = _open_out(cfg.out)
+    if args.export is not None:
+        out, close = _open_out(args.out)
         try:
-            out.write(artifacts[cfg.export]())
+            out.write(artifacts[args.export]())
         finally:
             if close:
                 out.close()
-    if want_invariants or cfg.export is None:
-        report = _cached_invariants(cfg, model_key, labeled_key, graph)
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if args.invariants or args.export is None:
+        report = _cached_invariants(args.cache_dir, model_key, labeled_key, graph)
+        _stdout().write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    n_lo = cfg.n_range[0] if cfg.n_range else None
-    n_hi = cfg.n_range[1] if cfg.n_range else None
-    try:
-        reports, ok = veritas.run_suite(
-            suite=cfg.suite,
-            n_lo=n_lo,
-            n_hi=n_hi,
-            claim_patterns=cfg.claims,
-            hom_trials=cfg.hom_trials,
-            seed=cfg.seed,
-            parallelism=cfg.parallelism,
-        )
-    except KeyError as exc:
-        raise _UsageError(f"unknown claim: {exc.args[0]}") from exc
-    out, close = _open_out(cfg.out)
+def cmd_verify(args) -> int:
+    n_lo, n_hi = _parse_n_range(args.n_range) if args.n_range else (None, None)
+    reports, ok = veritas.run_suite(
+        suite=args.suite,
+        n_lo=n_lo,
+        n_hi=n_hi,
+        claim_patterns=args.claims,
+        hom_trials=args.hom_trials,
+        seed=args.seed,
+        parallelism=args.parallelism,
+    )
+    out, close = _open_out(args.out)
     try:
         for r in reports:
             out.write(r.to_json_line() + "\n")
@@ -250,17 +233,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_search(cfg: RunConfig, claim: str, max_n: int) -> int:
-    try:
-        rep = veritas.search_counterexample(claim, max_n=max_n)
-    except KeyError as exc:
-        raise _UsageError(f"unknown claim: {exc.args[0]}") from exc
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    if rep is None:
-        sys.stdout.write("none\n")
-    else:
-        sys.stdout.write(json.dumps(rep.to_json_dict(), sort_keys=True, indent=2) + "\n")
+def cmd_search(args) -> int:
+    rep = veritas.search_counterexample(args.claim, max_n=args.max_n)
+    text = "none" if rep is None else json.dumps(rep.to_json_dict(), sort_keys=True, indent=2)
+    _stdout().write(text + "\n")
     return 0
 
 
@@ -268,7 +244,7 @@ def cmd_search(cfg: RunConfig, claim: str, max_n: int) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="annigraph",
         description="Disjointness graphs of finite topological spaces: exact "
                     "invariants and claim verification.",
@@ -288,6 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--max-n", type=int, default=5,
                         help="enumeration cap (default 5)")
     p_enum.add_argument("-o", "--out", default=None)
+    p_enum.set_defaults(func=cmd_topo_enum)
 
     p_graph = sub.add_parser("graph", help="build a model graph")
     p_graph.add_argument("model", help="ag-discrete:<n> or dg:<topology-file>")
@@ -297,6 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("-o", "--out", default=None)
     p_graph.add_argument("--cache-dir", default=None,
                          help=f"invariant cache directory (or ${CACHE_ENV})")
+    p_graph.set_defaults(func=cmd_graph)
 
     p_verify = sub.add_parser("verify", help="run the claim suites")
     p_verify.add_argument("--suite", choices=["guaranteed", "explore", "all"],
@@ -308,49 +286,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--hom-trials", type=int, default=veritas.DEFAULT_HOM_TRIALS)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--parallelism", "-p", type=int, default=1)
+    p_verify.set_defaults(func=cmd_verify)
 
     p_search = sub.add_parser("search", help="scan for a counterexample/witness")
     p_search.add_argument("claim")
     p_search.add_argument("--max-n", type=int, default=4)
+    p_search.set_defaults(func=cmd_search)
 
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        if args.cmd == "topo":
-            cfg = RunConfig(subcommand="topo-enum", n=args.n, out=args.out)
-            return cmd_topo_enum(cfg, args.canonical, args.filter_name,
-                                 args.json, args.max_n)
-        if args.cmd == "graph":
-            cfg = RunConfig(subcommand="graph", model=args.model, out=args.out,
-                            export=args.export, cache_dir=args.cache_dir)
-            return cmd_graph(cfg, args.invariants)
-        if args.cmd == "verify":
-            cfg = RunConfig(
-                subcommand="verify",
-                suite=args.suite,
-                n_range=_parse_n_range(args.n_range) if args.n_range else None,
-                claims=args.claims,
-                out=args.out,
-                parallelism=args.parallelism,
-                seed=args.seed,
-                hom_trials=args.hom_trials,
-            )
-            return cmd_verify(cfg)
-        if args.cmd == "search":
-            cfg = RunConfig(subcommand="search")
-            return cmd_search(cfg, args.claim, args.max_n)
-        raise _UsageError(f"unknown command {args.cmd!r}")
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:  # --help or --version has printed its text
+        return exc.code
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:
@@ -359,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
+    # A reader that goes away (``| head``) ends the process quietly, as it
+    # does for other filters.  Only here: tests call main() in-process.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -33,6 +33,7 @@ from .graphcore import INF, Distance, UGraph
 from .topo import (
     PointSet,
     Topology,
+    UsageError,
     closure_mask,
     interior_mask,
     isolated_points,
@@ -105,7 +106,7 @@ def build_ag_discrete(n: int, cap: int = DEFAULT_MODEL_CAP) -> UGraph:
     n-point space: one vertex per nonempty proper subset, adjacency is
     disjointness."""
     if not 2 <= n <= cap:
-        raise ValueError(f"discrete model needs 2 <= n <= {cap}, got {n}")
+        raise UsageError(f"discrete model needs 2 <= n <= {cap}, got {n}")
     labels = [PointSet(n, m) for m in range(1, (1 << n) - 1)]
     edges = []
     for a, b in itertools.combinations(labels, 2):

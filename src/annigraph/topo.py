@@ -29,8 +29,10 @@ DEFAULT_ENUM_CAP = 5
 TOPOLOGY_COUNTS = (1, 1, 4, 29, 355, 6942)
 
 
-class EnumerationCapExceeded(ValueError):
-    """A brute-force sweep was asked to exceed its configured cap."""
+class UsageError(ValueError):
+    """Input from outside the program was refused: a count or option out of
+    range, an unknown claim, or a malformed topology.  Every other exception
+    the engine raises is a defect."""
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -140,7 +142,7 @@ class Topology:
 
     def __init__(self, n: int, opens, validate: bool = True):
         if not 1 <= n <= MAX_POINTS:
-            raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {n}")
+            raise UsageError(f"point count must be in 1..{MAX_POINTS}, got {n}")
         fam = tuple(sorted({int(m) for m in opens}))
         full = (1 << n) - 1
         min_nbhd = []
@@ -153,9 +155,9 @@ class Topology:
         if validate:
             for m in fam:
                 if not 0 <= m <= full:
-                    raise ValueError(f"open set {m:#x} out of range for n={n}")
+                    raise UsageError(f"open set {m:#x} out of range for n={n}")
             if not fam or fam[0] != 0 or fam[-1] != full:
-                raise ValueError("opens must contain the empty set and the whole space")
+                raise UsageError("opens must contain the empty set and the whole space")
             # A family is a topology iff it is exactly the set of unions of
             # its minimal neighborhoods.
             unions = {0}
@@ -164,7 +166,7 @@ class Topology:
                 if len(unions) > len(fam):
                     break
             if unions != set(fam):
-                raise ValueError("opens not closed under union/intersection")
+                raise UsageError("opens not closed under union/intersection")
         self.n = n
         self.opens = fam
         self._full = full
@@ -228,7 +230,7 @@ class Topology:
             body = right.strip().removeprefix("opens=")
             opens = [int(tok.strip(), 16) for tok in body.split(",") if tok.strip()]
         except (ValueError, AttributeError) as exc:
-            raise ValueError(f"malformed topology line: {line!r}") from exc
+            raise UsageError(f"malformed topology line: {line!r}") from exc
         return cls(n, opens)
 
     def to_json_dict(self) -> dict:
@@ -239,8 +241,8 @@ class Topology:
         try:
             n = int(data["n"])
             opens = [int(str(m), 16) if isinstance(m, str) else int(m) for m in data["opens"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed topology JSON: {data!r}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(f"malformed topology JSON: {data!r}") from exc
         return cls(n, opens)
 
 
@@ -419,9 +421,9 @@ def enumerate_topologies(
     or sorted, so the stream is deterministic and starts at once.
     """
     if not 1 <= n <= MAX_POINTS:
-        raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {n}")
+        raise UsageError(f"point count must be in 1..{MAX_POINTS}, got {n}")
     if n > cap:
-        raise EnumerationCapExceeded(
+        raise UsageError(
             f"enumeration cap is {cap} (got n={n}); raise the cap explicitly"
         )
     full = (1 << n) - 1

@@ -27,7 +27,6 @@ import itertools
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -55,6 +54,7 @@ from .topo import (
     DEFAULT_ENUM_CAP,
     PointSet,
     Topology,
+    UsageError,
     canonical_form,
     canonical_topologies,
     cellularity,
@@ -909,7 +909,7 @@ def claims_matching(patterns: Sequence[str] | None) -> list[Claim]:
         if any(fnmatch.fnmatchcase(c.id, p) for p in patterns):
             out.append(c)
     if not out:
-        raise KeyError(f"no claim matches {patterns!r}")
+        raise UsageError(f"unknown claim: no claim matches {patterns!r}")
     return out
 
 
@@ -953,6 +953,9 @@ def run_space_suite(claims: Sequence[Claim], spaces: Iterable[Topology],
     space_claims = [c for c in claims if c.scope == "space"]
     spaces = list(spaces)
     if parallelism > 1 and len(spaces) > 1:
+        # Imported here: the pool module adds about 20 ms to every start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         ids = [c.id for c in space_claims]
         tasks = [(mode, ids, t.to_text()) for t in spaces]
         reports: list[TheoremReport] = []
@@ -1030,17 +1033,17 @@ def run_suite(
     failed.  Explore mode records and never fails.
     """
     if suite not in ("guaranteed", "explore", "all"):
-        raise ValueError(f"unknown suite {suite!r}")
+        raise UsageError(f"unknown suite {suite!r}")
     parts = ("guaranteed", "explore") if suite == "all" else (suite,)
     tops = {part: n_hi or _SUITE_RANGE[part][0] for part in parts}
     for part, hi in tops.items():
         if hi > _SUITE_RANGE[part][1]:
-            raise ValueError(f"the {part} suite covers spaces of at most "
+            raise UsageError(f"the {part} suite covers spaces of at most "
                              f"{_SUITE_RANGE[part][1]} points (got {hi})")
     if hom_trials < 0:
-        raise ValueError(f"hom trials must be >= 0 (got {hom_trials})")
+        raise UsageError(f"hom trials must be >= 0 (got {hom_trials})")
     if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1 (got {parallelism})")
+        raise UsageError(f"parallelism must be >= 1 (got {parallelism})")
     selected = claims_matching(claim_patterns)
     reports: list[TheoremReport] = []
     lo = max(n_lo or 2, 1)
@@ -1064,13 +1067,15 @@ def run_suite(
 def search_counterexample(claim_id: str, max_n: int = 4) -> TheoremReport | None:
     """Scan canonical topologies in deterministic order; return the first
     failure (or, for witness-search claims, the first witness) or None."""
-    claim = registry()[claim_id]
+    claim = registry().get(claim_id)
+    if claim is None:
+        raise UsageError(f"unknown claim: {claim_id}")
     if claim.scope != "space":
-        raise ValueError(f"claim {claim_id} is trial-scoped; search runs over spaces")
+        raise UsageError(f"claim {claim_id} is trial-scoped; search runs over spaces")
     if max_n < 1:
-        raise ValueError(f"max n must be >= 1 (got {max_n})")
+        raise UsageError(f"max n must be >= 1 (got {max_n})")
     if max_n > DEFAULT_ENUM_CAP:
-        raise ValueError(f"search enumerates spaces of at most {DEFAULT_ENUM_CAP} "
+        raise UsageError(f"search enumerates spaces of at most {DEFAULT_ENUM_CAP} "
                          f"points (got {max_n})")
     ws = Workspace()
     for n in range(1, max_n + 1):

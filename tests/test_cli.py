@@ -1,10 +1,18 @@
+import dataclasses
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from annigraph import cli, veritas
+from annigraph import cli, idealgraph, veritas
 from annigraph.topo import Topology
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -339,7 +347,7 @@ class TestMisc:
         assert cli.main([]) == 2
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
-        def broken(cfg, want_invariants):
+        def broken(args):
             raise RecursionError("maximum recursion depth exceeded")
 
         monkeypatch.setattr(cli, "cmd_graph", broken)
@@ -347,3 +355,115 @@ class TestMisc:
         assert code == 3
         assert out == ""
         assert err.startswith("internal error:") and len(err.splitlines()) == 1
+        assert "RecursionError" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: annigraph") and err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--n-range", "-1..3"), "argument --n-range: expected one argument"),
+        (("topo", "enum", "abc"), "argument n: invalid int value: 'abc'"),
+        ((), "the following arguments are required: cmd"),
+    ])
+    def test_argument_refusal_is_one_error_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_import_leaves_the_process_pool_out(self):
+        probe = ("import sys, annigraph.cli; "
+                 "print('concurrent.futures.process' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+                              timeout=120)
+        assert done.stdout == "False\n"
+
+
+# sha256 of the whole stdout of each command.
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "--suite", "guaranteed", "--n-range", "2..6"),
+     "14d34956f4c85cb8787c4095f4f5c070c1e694924b156d86b77c86ba5b628d10"),
+    (("verify", "--suite", "all", "--n-range", "2..5"),
+     "cbb86475e62ad05be1f789e9727207d120fb2369b9814b279a95b670ec86c938"),
+    (("topo", "enum", "5", "--canonical"),
+     "0153e47b48c2fc9f72a6d2e5893cb74188f0ed075e4de86df4caeb6630f62dd5"),
+])
+def test_stream_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"a":' * 100_000,
+     "maximum recursion depth exceeded while decoding a JSON object from a unicode string"),
+    (b'{"n": 1e999, "opens": []}', "malformed topology JSON: {'n': inf, 'opens': []}"),
+    (b'{"n": 2, "opens": [0,', "Expecting value: line 1 column 22 (char 21)"),
+    (b"\xff\xfe\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["deep", "infinite-n", "truncated", "undecodable"])
+def test_malformed_topology_file_exits_2(capsys, tmp_path, data, message):
+    f = tmp_path / "bad.json"
+    f.write_bytes(data)
+    assert run(capsys, "graph", f"dg:{f}") == (2, "", f"error: {message}\n")
+
+
+def _missing_key(ws, x):
+    return {}["missing"]
+
+
+def _bad_value(ws, x):
+    raise ValueError("broken check")
+
+
+def _broken_gi_case(t, g, h):
+    raise ValueError("broken gi case")
+
+
+VERIFY_3 = ("verify", "--n-range", "3..3", "--hom-trials", "0")
+
+
+@pytest.mark.parametrize("argv, check, message", [
+    (VERIFY_3, _missing_key, "KeyError: 'missing'"),
+    (("search", "thm.girth", "--max-n", "3"), _missing_key, "KeyError: 'missing'"),
+    (VERIFY_3, _bad_value, "ValueError: broken check"),
+    (("search", "thm.girth", "--max-n", "3"), _bad_value, "ValueError: broken check"),
+    (VERIFY_3 + ("--claims", "lem.gi.*"), None, "ValueError: broken gi case"),
+], ids=["verify-KeyError", "search-KeyError", "verify-ValueError", "search-ValueError",
+        "gi_case-ValueError"])
+def test_engine_defect_exits_3(capsys, monkeypatch, argv, check, message):
+    """A defect inside the engine is an internal error, never a usage error,
+    whatever the type of the exception."""
+    if check is None:
+        monkeypatch.setattr(idealgraph, "gi_case", _broken_gi_case)
+    else:
+        claim = veritas.registry()["thm.girth"]
+        monkeypatch.setitem(veritas.registry(), "thm.girth",
+                            dataclasses.replace(claim, check=check))
+    assert run(capsys, *argv) == (3, "", f"internal error: {message}\n")
+
+
+def _entry_point(*argv, **kwargs) -> subprocess.Popen:
+    """The console script's entry point, run in a fresh interpreter."""
+    return subprocess.Popen(
+        [sys.executable, "-c", "from annigraph.cli import main_entry; main_entry()", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [("topo", "enum", "5"),
+                                  ("verify", "--suite", "all", "--n-range", "2..5")])
+def test_reader_going_away_ends_the_process_quietly(argv):
+    # Both streams are far larger than a pipe buffer, so the writer is still
+    # writing when the reader closes its end, as with ``| head -1``.
+    proc = _entry_point(*argv, stdout=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""
+
+
+def test_closed_stdout_is_refused():
+    proc = _entry_point("topo", "enum", "2", preexec_fn=lambda: os.close(1))
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err == b"error: standard output is closed\n"

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from annigraph.topo import (
     TOPOLOGY_COUNTS,
-    EnumerationCapExceeded,
     PointSet,
     Topology,
+    UsageError,
     canonical_form,
     canonical_topologies,
     cellularity,
@@ -185,7 +185,7 @@ class TestEnumeration:
         assert len(discretes) == 1
 
     def test_cap(self):
-        with pytest.raises(EnumerationCapExceeded):
+        with pytest.raises(UsageError, match="enumeration cap"):
             list(enumerate_topologies(6))
         assert len(list(enumerate_topologies(5, cap=5))) == 6942
 

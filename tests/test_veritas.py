@@ -102,7 +102,7 @@ class TestRegistry:
             "lem.gi.a", "lem.gi.b", "lem.gi.c", "lem.gi.d", "lem.gi.e",
             "lem.gi.dense_overlap",
         }
-        with pytest.raises(KeyError):
+        with pytest.raises(topo.UsageError, match="unknown claim: no claim matches"):
             veritas.claims_matching(["no.such.claim"])
 
 
@@ -246,7 +246,7 @@ class TestSearch:
         assert b.witness["intersection_of_cozero_unions"] != "{}"
 
     def test_unknown_claim(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(topo.UsageError, match="unknown claim: thm.bogus"):
             veritas.search_counterexample("thm.bogus")
 
     def test_trial_scope_rejected(self):
