@@ -1017,6 +1017,9 @@ def run_hom_suite(claims: Sequence[Claim], trials: int, seed: int,
 # explore suite enumerates every labeled topology.
 _SUITE_RANGE = {"guaranteed": (5, DEFAULT_MODEL_CAP), "explore": (4, DEFAULT_ENUM_CAP)}
 
+# The process pool starts all its workers at once, so -p is bounded.
+_MAX_PARALLELISM = 64
+
 
 def run_suite(
     suite: str = "guaranteed",
@@ -1044,6 +1047,9 @@ def run_suite(
         raise UsageError(f"hom trials must be >= 0 (got {hom_trials})")
     if parallelism < 1:
         raise UsageError(f"parallelism must be >= 1 (got {parallelism})")
+    if parallelism > _MAX_PARALLELISM:
+        raise UsageError(f"parallelism must be at most {_MAX_PARALLELISM} "
+                         f"(got {parallelism})")
     selected = claims_matching(claim_patterns)
     reports: list[TheoremReport] = []
     lo = max(n_lo or 2, 1)

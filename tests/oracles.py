@@ -45,6 +45,47 @@ def brute_topologies(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def closure_stream(n: int) -> list[tuple[int, ...]]:
+    """All topologies on n labeled points, in lexicographic order, by the
+    closure-completion search: decide the masks in increasing order, take
+    each one in before leaving it out, and complete the family under union
+    and intersection, pruning on any forced member already left out."""
+    full = (1 << n) - 1
+    out = []
+
+    def dfs(m, fam_bits, fam, excl):
+        while m < full and fam_bits >> m & 1:
+            m += 1
+        if m == full:
+            out.append(fam)
+            return
+        members = list(fam)
+        members.append(m)
+        bits = fam_bits | (1 << m)
+        i = len(fam)
+        ok = True
+        while ok and i < len(members):
+            a = members[i]
+            for j in range(i):
+                b = members[j]
+                for c in (a | b, a & b):
+                    if not bits >> c & 1:
+                        if excl >> c & 1:
+                            ok = False
+                            break
+                        bits |= 1 << c
+                        members.append(c)
+                if not ok:
+                    break
+            i += 1
+        if ok:
+            dfs(m + 1, bits, tuple(sorted(members)), excl)
+        dfs(m + 1, fam_bits, fam, excl | (1 << m))
+
+    dfs(1, 1 | 1 << full, (0, full), 0)
+    return out
+
+
 def brute_classes(n: int) -> list[tuple[int, ...]]:
     """One family per homeomorphism class: the lexicographically minimal
     relabeling of every labeled topology, deduplicated and sorted."""

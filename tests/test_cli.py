@@ -304,6 +304,8 @@ class TestVerify:
         (("verify", "--n-range", "2..2", "--parallelism", "0"),
          "parallelism must be >= 1 (got 0)"),
         (("search", "thm.girth", "--max-n", "-3"), "max n must be >= 1 (got -3)"),
+        (("verify", "--n-range", "2..2", "-p", "65"),
+         "parallelism must be at most 64 (got 65)"),
     ])
     def test_out_of_range_input_is_refused_before_any_work(
             self, capsys, monkeypatch, argv, limit):
@@ -387,6 +389,8 @@ class TestMisc:
      "cbb86475e62ad05be1f789e9727207d120fb2369b9814b279a95b670ec86c938"),
     (("topo", "enum", "5", "--canonical"),
      "0153e47b48c2fc9f72a6d2e5893cb74188f0ed075e4de86df4caeb6630f62dd5"),
+    (("topo", "enum", "5"),
+     "c7d80fb232234585f36dd1f988859da98041c4ce129faf3e58885d85ebc404f9"),
 ])
 def test_stream_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

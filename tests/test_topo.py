@@ -31,6 +31,7 @@ from oracles import (
     brute_topologies,
     brute_two_valued_function_count,
     brute_weight,
+    closure_stream,
 )
 
 SIERPINSKI = Topology.sierpinski()
@@ -145,6 +146,10 @@ class TestEnumeration:
         for n in (2, 3, 4):
             ours = [t.opens for t in enumerate_topologies(n)]
             assert ours == brute_topologies(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_meet_rule_matches_closure_completion(self, n):
+        assert [t.opens for t in enumerate_topologies(n)] == closure_stream(n)
 
     def test_every_family_validates(self):
         for t in enumerate_topologies(4):
