@@ -17,13 +17,10 @@ do.  All outputs are byte-reproducible under fixed flags and seed.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
-import os
 import signal
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -38,7 +35,6 @@ from .topo import (
     enumerate_topologies,
 )
 
-CACHE_ENV = "ANNIGRAPH_CACHE"
 # Largest dg: space whose canonical key is computed.  The key tries all n!
 # relabelings: about 0.5 s for the discrete 7-point space, 9 s for 8 points.
 DG_KEY_CAP = 7
@@ -100,38 +96,6 @@ def _load_topology(ref: str) -> Topology:
     return Topology.from_text(text.splitlines()[0])
 
 
-def _cache_key(labeled_key: str) -> str:
-    return hashlib.sha256(f"{labeled_key}|{__version__}".encode()).hexdigest()
-
-
-def _cached_invariants(cache_dir: str | None, model_key: str, labeled_key: str,
-                       graph) -> dict:
-    """Invariant report of graph.  The cache is keyed by the labeled model,
-    because the report names vertices by their labels; an unreadable entry
-    is recomputed and replaced."""
-    d = cache_dir or os.environ.get(CACHE_ENV)
-    cdir = Path(d) if d else None
-    if cdir is not None:
-        cdir.mkdir(parents=True, exist_ok=True)
-        path = cdir / f"{_cache_key(labeled_key)}.json"
-        try:
-            return json.loads(path.read_text())
-        except (FileNotFoundError, ValueError):
-            pass  # missing or damaged entry: compute and write it below
-    report = gc.compute_invariants(graph).to_json_dict()
-    report["model"] = model_key
-    if cdir is not None:
-        fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    return report
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -162,15 +126,15 @@ def cmd_topo_enum(args) -> int:
     return 0
 
 
-def _build_model(sel: str) -> tuple[str, str, object]:
-    """(model key, labeled key, graph).  The model key of a dg model names
-    the homeomorphism class; the labeled key names the labeled topology."""
+def _build_model(sel: str) -> tuple[str, object]:
+    """(model key, graph).  The model key of a dg model names the
+    homeomorphism class."""
     if sel.startswith("ag-discrete:"):
         try:
             n = int(sel.split(":", 1)[1])
         except ValueError as exc:
             raise UsageError(f"bad model selector {sel!r}") from exc
-        return f"ag-discrete:{n}", f"ag-discrete:{n}", build_ag_discrete(n)
+        return f"ag-discrete:{n}", build_ag_discrete(n)
     if sel.startswith("dg:"):
         t = _load_topology(sel.split(":", 1)[1])
         if t.n > DG_KEY_CAP:
@@ -178,14 +142,14 @@ def _build_model(sel: str) -> tuple[str, str, object]:
                 f"dg: models are keyed by their canonical form, computed for at "
                 f"most {DG_KEY_CAP} points (got {t.n})"
             )
-        return f"dg:{canonical_form(t)}", f"dg:{t.to_text()}", build_dg(t)
+        return f"dg:{canonical_form(t)}", build_dg(t)
     raise UsageError(
         f"bad model selector {sel!r}; expected ag-discrete:<n> or dg:<topology-file>"
     )
 
 
 def cmd_graph(args) -> int:
-    model_key, labeled_key, graph = _build_model(args.model)
+    model_key, graph = _build_model(args.model)
     artifacts = {
         "dot": lambda: gc.to_dot(graph, render_label=str),
         "dimacs": lambda: gc.to_dimacs(graph, comment=model_key),
@@ -206,7 +170,8 @@ def cmd_graph(args) -> int:
             if close:
                 out.close()
     if args.invariants or args.export is None:
-        report = _cached_invariants(args.cache_dir, model_key, labeled_key, graph)
+        report = gc.compute_invariants(graph).to_json_dict()
+        report["model"] = model_key
         _stdout().write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -220,7 +185,6 @@ def cmd_verify(args) -> int:
         claim_patterns=args.claims,
         hom_trials=args.hom_trials,
         seed=args.seed,
-        parallelism=args.parallelism,
     )
     out, close = _open_out(args.out)
     try:
@@ -272,8 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print the invariant report (default when no export)")
     p_graph.add_argument("--export", choices=["dot", "dimacs", "json"], default=None)
     p_graph.add_argument("-o", "--out", default=None)
-    p_graph.add_argument("--cache-dir", default=None,
-                         help=f"invariant cache directory (or ${CACHE_ENV})")
     p_graph.set_defaults(func=cmd_graph)
 
     p_verify = sub.add_parser("verify", help="run the claim suites")
@@ -285,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="JSONL report path (default stdout)")
     p_verify.add_argument("--hom-trials", type=int, default=veritas.DEFAULT_HOM_TRIALS)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--parallelism", "-p", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_search = sub.add_parser("search", help="scan for a counterexample/witness")

@@ -948,38 +948,13 @@ def evaluate_space_claim(claim: Claim, t: Topology, ws: Workspace | None = None,
 
 
 def run_space_suite(claims: Sequence[Claim], spaces: Iterable[Topology],
-                    mode: str, parallelism: int = 1,
-                    ws: Workspace | None = None) -> list[TheoremReport]:
+                    mode: str, ws: Workspace | None = None) -> list[TheoremReport]:
     space_claims = [c for c in claims if c.scope == "space"]
-    spaces = list(spaces)
-    if parallelism > 1 and len(spaces) > 1:
-        # Imported here: the pool module adds about 20 ms to every start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        ids = [c.id for c in space_claims]
-        tasks = [(mode, ids, t.to_text()) for t in spaces]
-        reports: list[TheoremReport] = []
-        with ProcessPoolExecutor(max_workers=parallelism) as ex:
-            for chunk in ex.map(_space_worker, tasks, chunksize=8):
-                reports.extend(TheoremReport(**d) for d in chunk)
-    else:
-        ws = ws or Workspace()
-        reports = [r for t in spaces for r in _space_reports(space_claims, t, ws, mode)]
+    ws = ws or Workspace()
+    cells = (evaluate_space_claim(c, t, ws, mode) for t in spaces for c in space_claims)
+    reports = [r for r in cells if r is not None]
     reports.sort(key=lambda r: (r.mode, r.claim, r.space))
     return reports
-
-
-def _space_reports(claims: Sequence[Claim], t: Topology, ws: Workspace,
-                   mode: str) -> list[TheoremReport]:
-    reports = (evaluate_space_claim(c, t, ws, mode) for c in claims)
-    return [r for r in reports if r is not None]
-
-
-def _space_worker(args) -> list[dict]:
-    mode, ids, text = args
-    reg = registry()
-    claims = [reg[cid] for cid in ids]
-    return [r.__dict__ for r in _space_reports(claims, Topology.from_text(text), Workspace(), mode)]
 
 
 def _make_trial_witness(rng: random.Random) -> HomWitness:
@@ -1017,9 +992,6 @@ def run_hom_suite(claims: Sequence[Claim], trials: int, seed: int,
 # explore suite enumerates every labeled topology.
 _SUITE_RANGE = {"guaranteed": (5, DEFAULT_MODEL_CAP), "explore": (4, DEFAULT_ENUM_CAP)}
 
-# The process pool starts all its workers at once, so -p is bounded.
-_MAX_PARALLELISM = 64
-
 
 def run_suite(
     suite: str = "guaranteed",
@@ -1028,7 +1000,6 @@ def run_suite(
     claim_patterns: Sequence[str] | None = None,
     hom_trials: int = DEFAULT_HOM_TRIALS,
     seed: int = 0,
-    parallelism: int = 1,
 ) -> tuple[list[TheoremReport], bool]:
     """Run a verification suite; returns (reports, ok).
 
@@ -1045,24 +1016,19 @@ def run_suite(
                              f"{_SUITE_RANGE[part][1]} points (got {hi})")
     if hom_trials < 0:
         raise UsageError(f"hom trials must be >= 0 (got {hom_trials})")
-    if parallelism < 1:
-        raise UsageError(f"parallelism must be >= 1 (got {parallelism})")
-    if parallelism > _MAX_PARALLELISM:
-        raise UsageError(f"parallelism must be at most {_MAX_PARALLELISM} "
-                         f"(got {parallelism})")
     selected = claims_matching(claim_patterns)
     reports: list[TheoremReport] = []
     lo = max(n_lo or 2, 1)
     if "guaranteed" in tops:
         guaranteed = [c for c in selected if c.tier == "guaranteed"]
         spaces = [Topology.discrete(k) for k in range(lo, tops["guaranteed"] + 1)]
-        reports.extend(run_space_suite(guaranteed, spaces, "assert", parallelism))
+        reports.extend(run_space_suite(guaranteed, spaces, "assert"))
         reports.extend(run_hom_suite(guaranteed, hom_trials, seed, "assert"))
     if "explore" in tops:
         spaces = []
         for k in range(lo, tops["explore"] + 1):
             spaces.extend(canonical_topologies(k))
-        reports.extend(run_space_suite(selected, spaces, "explore", parallelism))
+        reports.extend(run_space_suite(selected, spaces, "explore"))
         explore_trials = [c for c in selected if c.scope == "trial" and c.tier == "explore"]
         reports.extend(run_hom_suite(explore_trials, hom_trials, seed, "explore"))
     reports.sort(key=lambda r: (r.mode, r.claim, r.space))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from annigraph import cli, idealgraph, veritas
+from annigraph import __version__, cli, idealgraph, veritas
 from annigraph.topo import Topology
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -158,50 +158,48 @@ class TestGraph:
         assert code == 2
 
     def test_cache_hit_matches_cold_run(self, capsys, tmp_path):
+        # There is no invariant cache: the option is refused before any work.
         cache = tmp_path / "cache"
-        code, cold, _ = run(capsys, "graph", "ag-discrete:3",
-                            "--cache-dir", str(cache))
-        assert code == 0
-        assert list(cache.glob("*.json"))
-        code, warm, _ = run(capsys, "graph", "ag-discrete:3",
-                            "--cache-dir", str(cache))
-        assert code == 0
-        assert warm == cold
+        code, out, err = run(capsys, "graph", "ag-discrete:3", "--cache-dir", str(cache))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unrecognized arguments: --cache-dir {cache}\n"
+        assert not cache.exists()
 
     def test_cache_keeps_labels_of_homeomorphic_inputs(self, capsys, tmp_path):
         # the two spaces are homeomorphic, so they share a canonical key, but
         # their graphs have different vertex labels
-        cache = tmp_path / "cache"
         first, second = tmp_path / "a.txt", tmp_path / "b.txt"
         first.write_text("n=3; opens=0x0,0x1,0x2,0x3,0x7\n")
         second.write_text("n=3; opens=0x0,0x2,0x4,0x6,0x7\n")
-        code, out_a, _ = run(capsys, "graph", f"dg:{first}", "--cache-dir", str(cache))
+        code, out_a, _ = run(capsys, "graph", f"dg:{first}")
         assert code == 0
-        code, out_b, _ = run(capsys, "graph", f"dg:{second}", "--cache-dir", str(cache))
+        code, out_b, _ = run(capsys, "graph", f"dg:{second}")
         assert code == 0
-        code, cold_b, _ = run(capsys, "graph", f"dg:{second}")
-        assert code == 0
-        assert out_b == cold_b
+        assert json.loads(out_a)["degree"] == {"{0}": 1, "{1}": 1}
         assert json.loads(out_b)["degree"] == {"{1}": 1, "{2}": 1}
         assert json.loads(out_a)["model"] == json.loads(out_b)["model"]
 
-    def test_corrupt_cache_entry_is_recomputed(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        code, cold, _ = run(capsys, "graph", "ag-discrete:3", "--cache-dir", str(cache))
+    def test_corrupt_cache_entry_is_recomputed(self, capsys, tmp_path, monkeypatch):
+        # An entry that an older version wrote to its cache directory is
+        # never served: every run computes its report.
+        code, cold, _ = run(capsys, "graph", "ag-discrete:3")
         assert code == 0
-        [entry] = cache.glob("*.json")
-        entry.write_text("{not json")
-        code, again, _ = run(capsys, "graph", "ag-discrete:3", "--cache-dir", str(cache))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        key = hashlib.sha256(f"ag-discrete:3|{__version__}".encode()).hexdigest()
+        (cache / f"{key}.json").write_text('{"model": "stale"}')
+        monkeypatch.setenv("ANNIGRAPH_CACHE", str(cache))
+        code, again, _ = run(capsys, "graph", "ag-discrete:3")
         assert code == 0
         assert again == cold
-        assert json.loads(entry.read_text())["model"] == "ag-discrete:3"
-        assert [p.name for p in cache.iterdir()] == [entry.name]
 
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))
+        # The variable of the former cache is ignored and nothing is written.
+        monkeypatch.setenv("ANNIGRAPH_CACHE", str(tmp_path / "envcache"))
         code, _, _ = run(capsys, "graph", "ag-discrete:2")
         assert code == 0
-        assert list((tmp_path / "envcache").glob("*.json"))
+        assert not (tmp_path / "envcache").exists()
 
 
 class TestVerify:
@@ -253,18 +251,13 @@ class TestVerify:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_parallelism_does_not_change_output(self, capsys, tmp_path):
-        a, b = tmp_path / "p1.jsonl", tmp_path / "p2.jsonl"
-        code, _, _ = run(capsys, "verify", "--suite", "explore",
-                         "--n-range", "2..3", "--hom-trials", "0",
-                         "--claims", "dg.*", "--out", str(a), "-p", "1")
-        assert code == 0
-        code, _, _ = run(capsys, "verify", "--suite", "explore",
-                         "--n-range", "2..3", "--hom-trials", "0",
-                         "--claims", "dg.*", "--out", str(b), "-p", "2")
-        assert code == 0
-        assert a.read_bytes() == b.read_bytes()
-
+    def test_parallelism_does_not_change_output(self, capsys):
+        # verify runs in one process; the process-count option is gone, and
+        # even its old default is refused.
+        code, out, err = run(capsys, "verify", "--n-range", "2..3", "-p", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unrecognized arguments: -p 1\n"
 
     def test_guaranteed_runs_on_six_points(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "guaranteed",
@@ -301,11 +294,12 @@ class TestVerify:
          "search enumerates spaces of at most 5 points (got 6)"),
         (("verify", "--n-range", "2..2", "--hom-trials", "-5"),
          "hom trials must be >= 0 (got -5)"),
-        (("verify", "--n-range", "2..2", "--parallelism", "0"),
-         "parallelism must be >= 1 (got 0)"),
+        (("verify", "--n-range", "2..2", "--parallelism", "2"),
+         "unrecognized arguments: --parallelism 2"),
         (("search", "thm.girth", "--max-n", "-3"), "max n must be >= 1 (got -3)"),
-        (("verify", "--n-range", "2..2", "-p", "65"),
-         "parallelism must be at most 64 (got 65)"),
+        (("verify", "--n-range", "2..2", "-p", "2"), "unrecognized arguments: -p 2"),
+        (("graph", "ag-discrete:3", "--cache-dir", "c"),
+         "unrecognized arguments: --cache-dir c"),
     ])
     def test_out_of_range_input_is_refused_before_any_work(
             self, capsys, monkeypatch, argv, limit):
