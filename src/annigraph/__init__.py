@@ -16,7 +16,6 @@ from .topo import (
     canonical_topologies,
     classify,
     enumerate_topologies,
-    tychonoff_reflection,
 )
 from .veritas import TheoremReport, registry, run_suite, search_counterexample
 
@@ -40,6 +39,5 @@ __all__ = [
     "run_suite",
     "search_counterexample",
     "twin_expansion",
-    "tychonoff_reflection",
     "__version__",
 ]

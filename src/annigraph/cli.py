@@ -151,7 +151,7 @@ def _build_model(sel: str) -> tuple[str, object]:
 def cmd_graph(args) -> int:
     model_key, graph = _build_model(args.model)
     artifacts = {
-        "dot": lambda: gc.to_dot(graph, render_label=str),
+        "dot": lambda: gc.to_dot(graph),
         "dimacs": lambda: gc.to_dimacs(graph, comment=model_key),
         "json": lambda: json.dumps(
             {

@@ -81,9 +81,6 @@ class UGraph:
     def has_edge(self, u, v) -> bool:
         return bool(self.adj[self.index[u]] >> self.index[v] & 1)
 
-    def neighbors(self, u) -> tuple:
-        return tuple(self.labels[j] for j in _bits(self.adj[self.index[u]]))
-
     def __repr__(self) -> str:
         return f"UGraph(vertices={self.vertex_count}, edges={self.edge_count})"
 
@@ -108,12 +105,6 @@ def _bfs(adj: Sequence[int], src: int) -> list[int]:
         seen |= nxt
         frontier = nxt
     return dist
-
-
-def distance(g: UGraph, u, v) -> Distance:
-    iu, iv = g.index[u], g.index[v]
-    d = _bfs(g.adj, iu)[iv]
-    return INF if d < 0 else d
 
 
 def distance_matrix(g: UGraph) -> list[list[int]]:
@@ -550,11 +541,11 @@ class InvariantReport:
     def is_degenerate(self) -> bool:
         return self.vertex_count < 2
 
-    def to_json_dict(self, render_label=str) -> dict:
+    def to_json_dict(self) -> dict:
         def enc(x):
             return x.name if isinstance(x, _Sentinel) else x
 
-        per_vertex = lambda d: {render_label(k): enc(v) for k, v in d.items()}
+        per_vertex = lambda d: {str(k): enc(v) for k, v in d.items()}
         return {
             "vertex_count": self.vertex_count,
             "edge_count": self.edge_count,
@@ -603,10 +594,10 @@ def compute_invariants(g: UGraph) -> InvariantReport:
     )
 
 
-def to_dot(g: UGraph, name: str = "g", render_label=str) -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: UGraph) -> str:
+    lines = ["graph g {"]
     for i, lab in enumerate(g.labels):
-        lines.append(f'  v{i} [label="{render_label(lab)}"];')
+        lines.append(f'  v{i} [label="{lab}"];')
     for i in range(g.vertex_count):
         for j in _bits(g.adj[i]):
             if j > i:

@@ -10,12 +10,11 @@ discrete reflection, while ``build_dg`` constructs the intrinsic
 disjoint-open-set graph on the topology itself: vertices are the nonempty
 opens whose complement has nonempty interior, adjacency is disjointness.
 
-The ideal-side operators are represented at open-set level:
-
-* ``i_of_set(t, U)`` is the open set attached to the ideal of functions
-  vanishing on U, namely ``interior(X \\ U)``;
-* ``ann_open(t, G)`` is the open set of the annihilator of an ideal with
-  open support G, namely ``interior(X \\ G)``.
+The ideal-side operators live at open-set level in the operator tables
+that the verification harness builds once per space (``veritas._Space``):
+``i[u]`` = interior(X \\ U) is the open set attached to the ideal of
+functions vanishing on U, and, for an open G, ``i[G]`` is the open set of
+the annihilator of an ideal with open support G; ``cl[u]`` is closure(U).
 
 The closed-form classifiers (distance, eccentricity, leaf, shortest cycle
 through a pair, radius, girth, triangulatedness) predict graph facts from
@@ -42,41 +41,6 @@ from .topo import (
 DEFAULT_MODEL_CAP = 12
 
 
-@dataclass(frozen=True)
-class IdealVertex:
-    """A vertex of the annihilating-ideal graph over a discrete space: the
-    support of a nonzero ideal with nonzero annihilator, i.e. a nonempty
-    proper subset of the ground set."""
-
-    support: PointSet
-
-    def __post_init__(self) -> None:
-        if not self.support:
-            raise ValueError("ideal vertex needs a nonempty support")
-        if self.support.is_full():
-            raise ValueError("full support has zero annihilator, not a vertex")
-
-
-def o_of_ideal(v: IdealVertex) -> PointSet:
-    """Union of the cozero sets of the ideal's members; in the discrete
-    model this is the support itself."""
-    return v.support
-
-
-def i_of_set(t: Topology, u: PointSet) -> PointSet:
-    """Open-set representation of the ideal of functions vanishing on u."""
-    t._check(u)
-    return PointSet(t.n, interior_mask(t, t._full & ~u.mask))
-
-
-def ann_open(t: Topology, g: PointSet) -> PointSet:
-    """Open-set representation of the annihilator of an ideal whose
-    members' cozero sets fill the open set g."""
-    if not t.is_open(g):
-        raise ValueError(f"{g.render()} is not open in this topology")
-    return PointSet(t.n, interior_mask(t, t._full & ~g.mask))
-
-
 def tau_star(t: Topology) -> list[PointSet]:
     """Vertex set of the disjoint-open-set graph: nonempty opens whose
     complement has nonempty interior."""
@@ -101,12 +65,12 @@ def _require_vertex(t: Topology, g: PointSet) -> None:
         raise ValueError(f"{g.render()} is not a graph vertex for this space")
 
 
-def build_ag_discrete(n: int, cap: int = DEFAULT_MODEL_CAP) -> UGraph:
+def build_ag_discrete(n: int) -> UGraph:
     """Annihilating-ideal graph of the ring of functions on a discrete
     n-point space: one vertex per nonempty proper subset, adjacency is
     disjointness."""
-    if not 2 <= n <= cap:
-        raise UsageError(f"discrete model needs 2 <= n <= {cap}, got {n}")
+    if not 2 <= n <= DEFAULT_MODEL_CAP:
+        raise UsageError(f"discrete model needs 2 <= n <= {DEFAULT_MODEL_CAP}, got {n}")
     labels = [PointSet(n, m) for m in range(1, (1 << n) - 1)]
     edges = []
     for a, b in itertools.combinations(labels, 2):
@@ -124,13 +88,6 @@ def build_dg(t: Topology) -> UGraph:
         if a.mask & b.mask == 0:
             edges.append((a, b))
     return UGraph(labels, edges)
-
-
-def adjacency_test(t: Topology, g: PointSet, h: PointSet) -> bool:
-    """Vertices are adjacent exactly when their open sets are disjoint."""
-    _require_vertex(t, g)
-    _require_vertex(t, h)
-    return g.mask & h.mask == 0
 
 
 def orthogonality_test(t: Topology, g: PointSet, h: PointSet) -> bool:

@@ -4,8 +4,11 @@ The ground set is always {0, ..., n-1} and subsets are bit masks (bit i is
 set iff point i is a member).  A Topology stores its full family of open
 sets together with the minimal neighborhood of every point, i.e. the
 smallest open set containing it.  Interior, closure, density, weight,
-cellularity and the reflection onto a discrete space all reduce to
-minimal-neighborhood arithmetic.
+cellularity and the weak components all reduce to minimal-neighborhood
+arithmetic.  Real-valued continuous functions on a finite space are exactly
+the functions constant on each weak component, so collapsing the components
+to points gives the discrete reflection, which carries the whole ring of
+functions; ``classify`` reports its size as ``component_count``.
 
 Enumeration of all topologies on n labeled points is a depth-first
 search over masks in increasing order by the meet rule: a family takes m
@@ -25,9 +28,6 @@ from typing import Callable, Iterator
 
 MAX_POINTS = 16
 DEFAULT_ENUM_CAP = 5
-
-# Labeled-topology counts for n = 0..5, used for sanity checks.
-TOPOLOGY_COUNTS = (1, 1, 4, 29, 355, 6942)
 
 
 class UsageError(ValueError):
@@ -55,23 +55,6 @@ class PointSet:
             raise ValueError(f"ground set size must be in 1..{MAX_POINTS}, got {self.n}")
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
-
-    @classmethod
-    def from_members(cls, n: int, members) -> "PointSet":
-        mask = 0
-        for p in members:
-            if not 0 <= p < n:
-                raise ValueError(f"point {p} outside ground set of size {n}")
-            mask |= 1 << p
-        return cls(n, mask)
-
-    @classmethod
-    def empty(cls, n: int) -> "PointSet":
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> "PointSet":
-        return cls(n, (1 << n) - 1)
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -101,20 +84,6 @@ class PointSet:
     def __sub__(self, other: "PointSet") -> "PointSet":
         self._check(other)
         return PointSet(self.n, self.mask & ~other.mask)
-
-    def complement(self) -> "PointSet":
-        return PointSet(self.n, ((1 << self.n) - 1) ^ self.mask)
-
-    def issubset(self, other: "PointSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
-    def isdisjoint(self, other: "PointSet") -> bool:
-        self._check(other)
-        return self.mask & other.mask == 0
-
-    def is_full(self) -> bool:
-        return self.mask == (1 << self.n) - 1
 
     def render(self) -> str:
         return "{" + ",".join(str(p) for p in self.members) + "}"
@@ -268,16 +237,6 @@ def closure_mask(t: Topology, mask: int) -> int:
     return t._full & ~interior_mask(t, t._full & ~mask)
 
 
-def interior(t: Topology, a: PointSet) -> PointSet:
-    t._check(a)
-    return PointSet(t.n, interior_mask(t, a.mask))
-
-
-def closure(t: Topology, a: PointSet) -> PointSet:
-    t._check(a)
-    return PointSet(t.n, closure_mask(t, a.mask))
-
-
 def is_dense(t: Topology, a: PointSet) -> bool:
     t._check(a)
     return closure_mask(t, a.mask) == t._full
@@ -289,12 +248,6 @@ def isolated_points(t: Topology) -> PointSet:
         if t._min_nbhd[x] == 1 << x:
             mask |= 1 << x
     return PointSet(t.n, mask)
-
-
-def minimal_neighborhood(t: Topology, x: int) -> PointSet:
-    if not 0 <= x < t.n:
-        raise ValueError(f"point {x} outside ground set of size {t.n}")
-    return PointSet(t.n, t._min_nbhd[x])
 
 
 def weight(t: Topology) -> int:
@@ -372,19 +325,6 @@ def _component_labels(t: Topology) -> tuple[int, ...]:
 
 def _component_count(t: Topology) -> int:
     return max(_component_labels(t)) + 1
-
-
-def tychonoff_reflection(t: Topology) -> tuple[Topology, tuple[int, ...]]:
-    """Collapse weak components to points; the quotient is discrete.
-
-    Returns the discrete quotient space and the point -> component map.
-    Real-valued continuous functions on a finite space are exactly the
-    functions constant on each weak component, so the quotient carries
-    all the ring-of-functions structure the space has.
-    """
-    labels = _component_labels(t)
-    m = max(labels) + 1
-    return Topology.discrete(m), labels
 
 
 # -- canonical forms and enumeration --------------------------------------

@@ -69,6 +69,10 @@ from .topo import (
 
 SCHEMA = "veritas/1"
 DEFAULT_HOM_TRIALS = 200
+# Every trial's witness is held until the last trial is checked and its
+# reports until the run ends, about 6.5 KB a trial, so the count is bounded
+# by memory: 10 000 trials peak near 80 MB.
+_MAX_HOM_TRIALS = 10_000
 HOM_PROBE_KEY = "twin:probe:k2x2"
 
 PASS = "pass"
@@ -107,7 +111,7 @@ class Claim:
     scope: str  # "space" | "trial"
     applies: Callable[[_Space], bool] | None = None
     check: Callable | None = None  # space: (ws, _Space) -> ClaimResult
-    check_trial: Callable | None = None  # trial: (HomWitness) -> ClaimResult
+    check_trial: Callable | None = None  # trial: (HomWitness, _hom_values) -> ClaimResult
     find: str = "fail"  # what a search over spaces looks for
 
 
@@ -573,12 +577,10 @@ _HOM_KEYS = ("diameter", "radius", "girth", "dominating_number", "clique_number"
 
 
 def _hom_values(w: HomWitness) -> dict:
-    cached = getattr(w, "_values_cache", None)
-    if cached is None:
-        cached = {side: {key: getattr(gc, key)(g) for key in _HOM_KEYS}
-                  for side, g in (("source", w.source), ("target", w.target))}
-        w._values_cache = cached
-    return cached
+    """Every compared invariant of both sides of the witness, computed once
+    and handed to each part checker."""
+    return {side: {key: getattr(gc, key)(g) for key in _HOM_KEYS}
+            for side, g in (("source", w.source), ("target", w.target))}
 
 
 def _hom_witness_dict(w: HomWitness, vals: dict, key: str) -> dict:
@@ -603,10 +605,9 @@ def _at_most(s, t):
 def _hom_part(key: str, compare):
     """Checker comparing one invariant of the original graph (source) with
     the collapsed one (target); ``compare(s, t)`` returns (expected,
-    computed, ok)."""
+    computed, ok).  ``vals`` are the witness's ``_hom_values``."""
 
-    def check(w: HomWitness) -> ClaimResult:
-        vals = _hom_values(w)
+    def check(w: HomWitness, vals: dict) -> ClaimResult:
         s, t = vals["source"][key], vals["target"][key]
         if s is DEGENERATE or t is DEGENERATE:
             return ClaimResult(DEGEN, computed="graph too small for this invariant")
@@ -621,7 +622,8 @@ def _hom_part(key: str, compare):
 def check_hom_lemma(w: HomWitness) -> dict[str, ClaimResult]:
     """Per-part verdicts of the vertex-collapse comparison for one witness."""
     w.validate()
-    return {part: _HOM_CHECKS[part](w) for part in sorted(_HOM_CHECKS)}
+    vals = _hom_values(w)
+    return {part: _HOM_CHECKS[part](w, vals) for part in sorted(_HOM_CHECKS)}
 
 
 _HOM_CHECKS = {
@@ -935,12 +937,11 @@ def registry_document() -> str:
 # --------------------------------------------------------------------------
 
 
-def evaluate_space_claim(claim: Claim, t: Topology, ws: Workspace | None = None,
-                         mode: str = "explore") -> TheoremReport | None:
+def evaluate_space_claim(claim: Claim, t: Topology, ws: Workspace,
+                         mode: str) -> TheoremReport | None:
     """One (claim, space) cell; None when the claim does not apply."""
     if claim.scope != "space":
         raise ValueError(f"claim {claim.id} is not space-scoped")
-    ws = ws or Workspace()
     x = ws.space(t)
     if not claim.applies(x):
         return None
@@ -948,9 +949,9 @@ def evaluate_space_claim(claim: Claim, t: Topology, ws: Workspace | None = None,
 
 
 def run_space_suite(claims: Sequence[Claim], spaces: Iterable[Topology],
-                    mode: str, ws: Workspace | None = None) -> list[TheoremReport]:
+                    mode: str) -> list[TheoremReport]:
     space_claims = [c for c in claims if c.scope == "space"]
-    ws = ws or Workspace()
+    ws = Workspace()
     cells = (evaluate_space_claim(c, t, ws, mode) for t in spaces for c in space_claims)
     reports = [r for r in cells if r is not None]
     reports.sort(key=lambda r: (r.mode, r.claim, r.space))
@@ -981,8 +982,9 @@ def run_hom_suite(claims: Sequence[Claim], trials: int, seed: int,
         witnesses.append((f"twin:{seed}:{i:04d}", _make_trial_witness(rng)))
     reports = []
     for key, w in witnesses:
+        vals = _hom_values(w)
         for claim in trial_claims:
-            reports.append(TheoremReport.of(claim.id, key, claim.check_trial(w), mode))
+            reports.append(TheoremReport.of(claim.id, key, claim.check_trial(w, vals), mode))
     reports.sort(key=lambda r: (r.mode, r.claim, r.space))
     return reports
 
@@ -1016,6 +1018,8 @@ def run_suite(
                              f"{_SUITE_RANGE[part][1]} points (got {hi})")
     if hom_trials < 0:
         raise UsageError(f"hom trials must be >= 0 (got {hom_trials})")
+    if hom_trials > _MAX_HOM_TRIALS:
+        raise UsageError(f"hom trials must be <= {_MAX_HOM_TRIALS} (got {hom_trials})")
     selected = claims_matching(claim_patterns)
     reports: list[TheoremReport] = []
     lo = max(n_lo or 2, 1)
@@ -1061,19 +1065,6 @@ def search_counterexample(claim_id: str, max_n: int = 4) -> TheoremReport | None
             elif rep.verdict == FAIL:
                 return rep
     return None
-
-
-def check_reflected_guaranteed(t: Topology, ws: Workspace | None = None) -> list[TheoremReport]:
-    """Run every guaranteed space claim against the discrete reflection of
-    t, i.e. against the space the ring of functions actually sees."""
-    ws = ws or Workspace()
-    m = classify(t).component_count
-    if m < 2:
-        return []
-    disc = Topology.discrete(m)
-    guaranteed = [c for c in registry().values()
-                  if c.scope == "space" and c.tier == "guaranteed"]
-    return run_space_suite(guaranteed, [disc], "assert", ws=ws)
 
 
 def summarize(reports: Sequence[TheoremReport]) -> str:

@@ -15,7 +15,6 @@ from annigraph import idealgraph as ig
 from annigraph import veritas
 from annigraph.graphcore import INF
 from annigraph.topo import (
-    PointSet,
     Topology,
     canonical_form,
     canonical_topologies,
@@ -145,13 +144,13 @@ def test_criterion_05_strictness_witnesses():
     if ok:
         # re-verify the union-law witness strictly at the operator level
         t = Topology.from_text(e.witness["topology"])
-        u = PointSet.from_members(t.n, json.loads(
-            e.witness["u"].replace("{", "[").replace("}", "]")))
-        v = PointSet.from_members(t.n, json.loads(
-            e.witness["v"].replace("{", "[").replace("}", "]")))
-        lhs = ig.i_of_set(t, u & v)
-        rhs = ig.i_of_set(t, u) | ig.i_of_set(t, v)
-        ok = rhs.issubset(lhs) and lhs != rhs
+        u, v = (sum(1 << p for p in json.loads(
+                    e.witness[k].replace("{", "[").replace("}", "]")))
+                for k in ("u", "v"))
+        i = [interior_mask(t, t._full & ~w) for w in range(1 << t.n)]
+        lhs = i[u & v]
+        rhs = i[u] | i[v]
+        ok = rhs & ~lhs == 0 and lhs != rhs
     _report(5, ok, "strictness witnesses for both inclusion laws found at n <= 3")
 
 
@@ -178,7 +177,8 @@ def test_criterion_07_dg_coincides_with_ag_on_discrete():
 
 
 def test_criterion_08_reflection_soundness():
-    ws = veritas.Workspace()
+    # The guaranteed suite on the discrete reflections themselves is pinned
+    # by tests/test_cli.py::TestVerify::test_guaranteed_stream_is_pinned.
     ok = True
     spaces = 0
     for n in (1, 2, 3, 4):
@@ -187,11 +187,7 @@ def test_criterion_08_reflection_soundness():
             m = classify(t).component_count
             if clopen_count(t) != 1 << m:
                 ok = False
-            for rep in veritas.check_reflected_guaranteed(t, ws):
-                if rep.verdict == veritas.FAIL:
-                    ok = False
-    _report(8, ok, f"two-valued function counts and reflected guaranteed "
-                   f"suite over {spaces} spaces")
+    _report(8, ok, f"two-valued function counts over {spaces} spaces")
 
 
 def test_criterion_09_hom_lemma_trials():

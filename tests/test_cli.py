@@ -300,6 +300,8 @@ class TestVerify:
         (("verify", "--n-range", "2..2", "-p", "2"), "unrecognized arguments: -p 2"),
         (("graph", "ag-discrete:3", "--cache-dir", "c"),
          "unrecognized arguments: --cache-dir c"),
+        (("verify", "--n-range", "2..2", "--hom-trials", "10001"),
+         "hom trials must be <= 10000 (got 10001)"),
     ])
     def test_out_of_range_input_is_refused_before_any_work(
             self, capsys, monkeypatch, argv, limit):
@@ -385,6 +387,14 @@ class TestMisc:
      "0153e47b48c2fc9f72a6d2e5893cb74188f0ed075e4de86df4caeb6630f62dd5"),
     (("topo", "enum", "5"),
      "c7d80fb232234585f36dd1f988859da98041c4ce129faf3e58885d85ebc404f9"),
+    (("graph", "ag-discrete:4", "--invariants"),
+     "96288ecd84ea61fc1f33ada8fe446fda74ed606d64e999a48e56f77ff96a1bd9"),
+    (("graph", "ag-discrete:4", "--export", "dot"),
+     "6043ecd59e2196dc64ab681c3b5cd1ac81e97cc4919c37c11857e65c32c87d44"),
+    (("graph", "ag-discrete:4", "--export", "dimacs"),
+     "fa208f70e4b744b5e5a167779ed06b82ed9a71d4bd5579f1082ff8ba8d20f176"),
+    (("graph", "ag-discrete:4", "--export", "json"),
+     "0e2591db6bef7005a746be2d42a35783df53f73b3ee1d2e0ca8d6d3fe35c33bc"),
 ])
 def test_stream_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

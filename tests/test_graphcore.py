@@ -50,29 +50,29 @@ class TestConstruction:
     def test_unknown_vertex(self):
         g = path(3)
         with pytest.raises(KeyError):
-            gc.distance(g, 0, 99)
+            gc.eccentricity(g, 99)
 
     def test_edges_and_neighbors(self):
         g = path(3)
         assert g.edges() == [(0, 1), (1, 2)]
-        assert g.neighbors(1) == (0, 2)
+        assert g.adj[g.index[1]] == 0b101
         assert g.has_edge(0, 1) and not g.has_edge(0, 2)
 
 
 class TestDistances:
     def test_path(self):
         g = path(3)
-        assert gc.distance(g, 0, 2) == 2
+        assert gc.distance_matrix(g)[0][2] == 2
         assert gc.eccentricity(g, 1) == 1
         assert gc.radius(g) == 1
         assert gc.diameter(g) == 2
 
     def test_complete(self):
-        assert gc.distance(complete(4), 0, 3) == 1
+        assert gc.distance_matrix(complete(4))[0][3] == 1
 
     def test_disconnected(self):
         g = UGraph(["x", "y"], [])
-        assert gc.distance(g, "x", "y") is INF
+        assert gc.distance_matrix(g)[0][1] == -1  # unreachable
         assert gc.diameter(g) is INF
 
     def test_star_and_cycle(self):

@@ -287,17 +287,6 @@ class TestHomLemma:
         assert c_row.verdict == veritas.FAIL
 
 
-class TestReflectedGuaranteed:
-    def test_every_small_space_reflects_soundly(self):
-        from annigraph.topo import canonical_topologies
-
-        ws = veritas.Workspace()
-        for n in (2, 3):
-            for t in canonical_topologies(n):
-                for rep in veritas.check_reflected_guaranteed(t, ws):
-                    assert rep.verdict != veritas.FAIL
-
-
 class TestSummary:
     def test_table_mentions_each_claim(self):
         reports, _ = veritas.run_suite("guaranteed", n_lo=2, n_hi=3, hom_trials=5)
